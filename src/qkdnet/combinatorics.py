@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, ValidationError, check_probability
 
 DEFAULT_ENUM_CAP = 1 << 22
 
@@ -118,11 +118,6 @@ def max_run_length(positions) -> int:
     return best
 
 
-def _check_probability(p, name: str = "p") -> None:
-    if not 0 <= p <= 1:
-        raise ValidationError(f"{name} must be in [0, 1], got {p}")
-
-
 def p_compromise_m(n_nodes: int, m: int, p: float) -> float:
     """Bernoulli mass: probability that exactly m of the N-2 interior
     nodes are compromised when each falls independently with probability p."""
@@ -130,7 +125,7 @@ def p_compromise_m(n_nodes: int, m: int, p: float) -> float:
         raise ValidationError(f"N must be >= 3, got {n_nodes}")
     if not 0 <= m <= n_nodes - 2:
         raise ValidationError(f"m must be in [0, {n_nodes - 2}], got {m}")
-    _check_probability(p)
+    check_probability(p)
     interior = n_nodes - 2
     return float(binomial(interior, m) * Fraction(p) ** m * (1 - Fraction(p)) ** (interior - m))
 
@@ -142,25 +137,28 @@ def p_success_given_m(n_nodes: int, m: int, c: int) -> float:
 
 
 def p_success_exact(n_nodes: int, c: int, p: float) -> float:
-    """Exact attack success probability: the mixture of p(s|m) over the
-    Bernoulli distribution of m.
+    """Exact attack success probability: the chance that some c consecutive
+    of the N-2 interior nodes are all compromised, each independently with
+    probability p.
 
-    Evaluated in exact rational arithmetic, so no compensated summation is
-    needed; only the final result is rounded to float.
+    Evaluated by the success-runs chain in floats: live[k] is the mass
+    whose current run of compromised nodes has length k < c, and a run
+    that reaches c is absorbed.  The result is the accumulated absorbed
+    mass, never 1 - survival, so every term is a sum of non-negative
+    products and it keeps full relative accuracy for p near 0 and near 1.
+    Against the rational mixture of f_inclusion_exclusion over the binomial
+    distribution of m (the test oracle) it agrees to 1e-12 relative; below
+    the smallest normal float, to 1e-12 of that float in absolute terms.
     """
     _check_nmc(n_nodes, 0, c)
-    _check_probability(p)
-    pf = Fraction(p)
-    interior = n_nodes - 2
-    total = Fraction(0)
-    for m in range(c, interior + 1):
-        # p(s|m) * p_m with the C(N-2, m) factors cancelled
-        total += (
-            f_inclusion_exclusion(n_nodes, m, c)
-            * pf ** m
-            * (1 - pf) ** (interior - m)
-        )
-    return float(total)
+    check_probability(p)
+    live = [1.0] + [0.0] * (c - 1)
+    clean = 1.0 - p
+    absorbed = 0.0
+    for _ in range(n_nodes - 2):
+        absorbed += live[-1] * p
+        live = [math.fsum(live) * clean] + [mass * p for mass in live[:-1]]
+    return absorbed
 
 
 def regime_bound(n_nodes: int, c: int) -> float:
@@ -168,7 +166,11 @@ def regime_bound(n_nodes: int, c: int) -> float:
 
     Beyond it the term exceeds 1 and bounds nothing.  It is not
     an accuracy boundary: the relative gap of the term depends on p itself
-    (see p_success_approx), so below this p it can still exceed 10%.
+    (see p_success_approx), so below this p it can still exceed 10%.  The
+    ``regime_valid`` flags derived from it (``p_success_approx``, the sweep
+    CSV column, ``regime_auth_valid`` in ``analyze``) therefore mean "the
+    lowest-order term is <= 1", not "the term is accurate": at N=20, c=5,
+    p=regime_bound the flag is true with approx 1.0 against exact 0.412.
     """
     return (1.0 / (n_nodes - c - 1)) ** (1.0 / c)
 
@@ -183,7 +185,7 @@ def p_success_approx(n_nodes: int, c: int, p: float) -> AttackProbability:
     gap is (N-c-2)/(N-c-1) * p.
     """
     _check_nmc(n_nodes, 0, c)
-    _check_probability(p)
+    check_probability(p)
     approx = (n_nodes - c - 1) * p ** c
     exact = p_success_exact(n_nodes, c, p)
     return AttackProbability(

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the probability check
+that every module validates its probability arguments with.
 
 The CLI maps these onto distinct exit codes, so library code should raise
 the most specific class that applies.
@@ -19,3 +20,9 @@ class CapExceededError(QkdNetError, RuntimeError):
 
 class InconsistencyError(QkdNetError, RuntimeError):
     """Two internal computations of the same quantity disagreed."""
+
+
+def check_probability(value, name: str = "p") -> None:
+    """Raise ValidationError unless 0 <= value <= 1 (NaN is rejected)."""
+    if not 0 <= value <= 1:
+        raise ValidationError(f"{name} must be in [0, 1], got {value}")

@@ -46,8 +46,15 @@ class AdversaryView:
 
 
 def _keystream(link_key: int, key_len: int, nbits: int) -> int:
-    """Counter-mode expansion of a link key into nbits of keystream."""
-    key_bytes = link_key.to_bytes(max((key_len + 7) // 8, 1), "big")[:64]
+    """Counter-mode expansion of a link key into nbits of keystream.
+
+    BLAKE2b takes keys of at most 64 bytes.  As in HMAC (RFC 2104), a
+    longer key is first hashed to 64 bytes, so every bit of it reaches the
+    keystream; shorter keys are used unchanged.
+    """
+    key_bytes = link_key.to_bytes(max((key_len + 7) // 8, 1), "big")
+    if len(key_bytes) > 64:
+        key_bytes = hashlib.blake2b(key_bytes).digest()
     chunks = []
     counter = 0
     while len(chunks) * 64 * 8 < nbits:

@@ -75,20 +75,22 @@ def enumerate_routes(seg: NetworkSegment, cap: int | None = None) -> RouteSet:
         raise CapExceededError(
             f"route count {count} exceeds materialization cap {cap}"
         )
+    # Depth-first with an explicit stack, so route length is not bounded
+    # by the recursion limit; stack[k] iterates the successors of prefix[k].
+    last, c = seg.n_nodes, seg.density
     routes: list[Route] = []
     prefix = [1]
-
-    def extend() -> None:
-        node = prefix[-1]
-        if node == seg.n_nodes:
-            routes.append(tuple(prefix))
-            return
-        for nxt in seg.out_neighbors(node):
-            prefix.append(nxt)
-            extend()
+    stack = [iter(range(2, min(1 + c, last) + 1))]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
             prefix.pop()
-
-    extend()
+        elif nxt == last:
+            routes.append((*prefix, nxt))
+        else:
+            prefix.append(nxt)
+            stack.append(iter(range(nxt + 1, min(nxt + c, last) + 1)))
     assert len(routes) == count
     return RouteSet(segment=seg, routes=tuple(routes), count=count)
 

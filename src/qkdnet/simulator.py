@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import max_run_length
-from .errors import InconsistencyError, ValidationError
+from .errors import InconsistencyError, ValidationError, check_probability
 from .topology import Link, NetworkSegment
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -129,9 +129,8 @@ def run_trials(
     Deterministic for a given seed: a single PCG64 stream draws the node
     matrix first, then the link matrix.
     """
-    for name, value in (("p_node", p_node), ("p_link", p_link)):
-        if not 0 <= value <= 1:
-            raise ValidationError(f"{name} must be in [0, 1], got {value}")
+    check_probability(p_node, "p_node")
+    check_probability(p_link, "p_link")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
 

@@ -128,6 +128,15 @@ def test_routes_enumerate_serial(capsys):
     assert payload["routes"] == [[1, 2, 3]]
 
 
+def test_routes_enumerate_long_serial_chain(capsys):
+    # one route of 2000 nodes, longer than the interpreter's recursion limit
+    code, out, _ = run_cli(capsys, "routes", "--n", "2000", "--c", "1", "--enumerate")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["count"] == "1"
+    assert payload["routes"] == [list(range(1, 2001))]
+
+
 def test_routes_scheme_and_edges(capsys):
     code, out, _ = run_cli(capsys, "routes", "--n", "6", "--c", "2", "--scheme")
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -15,7 +16,7 @@ from qkdnet import (
     run_session,
     reconstruct_at_endpoint,
 )
-from qkdnet.protocol import SessionTranscript
+from qkdnet.protocol import SessionTranscript, _keystream
 
 
 def session(n, c, key_len=32, seed=11):
@@ -170,3 +171,13 @@ def test_xor_linearity_of_final_key():
         for k in flipped:
             acc ^= k
         assert acc == final_key ^ (1 << 3)
+
+
+def test_long_link_keys_do_not_alias():
+    # BLAKE2b takes at most 64-byte keys; 1024-bit keys that differ only in
+    # their lowest bit must still give different keystreams.
+    assert _keystream(1 << 1000, 1024, 512) != _keystream((1 << 1000) + 1, 1024, 512)
+    # keys of up to 64 bytes are used as the BLAKE2b key unchanged
+    key = (1 << 511) + 12345
+    block = hashlib.blake2b((0).to_bytes(8, "big"), key=key.to_bytes(64, "big")).digest()
+    assert _keystream(key, 512, 512) == int.from_bytes(block, "big")

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from rational_oracle import epsilon2_rational
 
 from qkdnet import (
     CapExceededError,
@@ -104,6 +105,14 @@ def test_epsilon2_exact_matches_subset_enumeration():
             assert epsilon2_exact(seg, q) == pytest.approx(
                 oracle_link_cover_probability(seg, q), rel=1e-12
             )
+
+
+def test_rational_oracle_matches_subset_enumeration():
+    # the window-DP oracle that gates epsilon2_exact, checked exhaustively
+    for n, c in [(4, 1), (5, 2), (6, 2), (4, 3), (6, 3)]:
+        seg = make_segment(n, c)
+        for q in (1e-9, 0.2, 0.5, 0.99):
+            assert float(epsilon2_rational(n, c, q)) == oracle_link_cover_probability(seg, q)
 
 
 def test_epsilon2_exact_leading_order_and_lower_bound():
