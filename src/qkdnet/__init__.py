@@ -13,7 +13,6 @@ Core surfaces:
 from .combinatorics import (
     AttackProbability,
     binomial,
-    f_bruteforce,
     f_generating_function,
     f_inclusion_exclusion,
     p_compromise_m,

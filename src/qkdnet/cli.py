@@ -56,7 +56,7 @@ def _print_csv(header: list[str], rows: list[list]) -> None:
 def cmd_analyze(args) -> int:
     seg = make_segment(args.n, args.c)
     params = security.SecurityParams(eps_auth=args.eps_auth, eps_qkd=args.eps_qkd)
-    report = security.epsilon_qn(seg, params, mode=args.mode, edge_cap=args.edge_cap)
+    report = security.epsilon_qn(seg, params, mode=args.mode)
     payload = {"n": args.n, "c": args.c}
     payload.update(report.to_dict())
     for key in ("eps1_approx", "eps2_approx", "eps1_exact", "eps2_exact", "eps_qn"):
@@ -96,7 +96,7 @@ def cmd_sweep(args) -> int:
             rows.append(
                 [
                     q,
-                    security.epsilon2_exact(seg, q, edge_cap=args.edge_cap),
+                    security.epsilon2_exact(seg, q),
                     security.epsilon2_approx(seg, q),
                     security.epsilon2_regime_valid(seg, q),
                 ]
@@ -141,7 +141,7 @@ def cmd_simulate(args) -> int:
     seg = make_segment(args.n, args.c)
     stats = simulator.run_trials(seg, args.p_node, args.p_link, args.trials, args.seed)
     if args.progress_csv:
-        _write_progress_csv(args, seg)
+        _write_progress_csv(args.progress_csv, stats)
     payload = stats.to_dict()
     for key in ("estimate_auth", "estimate_link", "stderr_auth", "stderr_link"):
         payload[key] = _sig(payload[key])
@@ -149,26 +149,15 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_progress_csv(args, seg) -> None:
-    """Running estimates after each batch, derived from per-batch runs with
-    seeds split deterministically from the base seed."""
-    batches = max(args.trials // 10, 1)
-    seeds = np.random.SeedSequence(args.seed).spawn(10)
-    done = 0
-    auth = link = 0
+def _write_progress_csv(path, stats) -> None:
+    """Running estimates after each tenth of the trials, from the same draw
+    as the reported result."""
     lines = ["trials,estimate_auth,estimate_link"]
-    for child in seeds:
-        n_batch = min(batches, args.trials - done)
-        if n_batch <= 0:
-            break
-        stats = simulator.run_trials(
-            seg, args.p_node, args.p_link, n_batch, child.entropy % (1 << 63)
-        )
-        done += n_batch
-        auth += stats.successes_auth
-        link += stats.successes_link
-        lines.append(f"{done},{auth / done:.12g},{link / done:.12g}")
-    with open(args.progress_csv, "w", encoding="utf-8") as fh:
+    lines += [
+        f"{done},{auth / done:.12g},{link / done:.12g}"
+        for done, auth, link in stats.progress
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -263,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-auth", type=float, required=True)
     p.add_argument("--eps-qkd", type=float, required=True)
     p.add_argument("--mode", choices=("approx", "exact"), default="approx")
-    p.add_argument("--edge-cap", type=int, default=security.DEFAULT_EDGE_CAP)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="parameter sweep as CSV on stdout")
@@ -275,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--c", type=int, default=3)
     p.add_argument("--p", type=float, default=0.01)
-    p.add_argument("--edge-cap", type=int, default=security.DEFAULT_EDGE_CAP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("routes", help="route count/enumeration/scheme as JSON")

@@ -12,12 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .errors import CapExceededError, ValidationError, check_probability
-
-DEFAULT_ENUM_CAP = 1 << 22
-
+from .errors import ValidationError, check_probability
 
 @dataclass(frozen=True)
 class RunCountResult:
@@ -88,22 +84,6 @@ def _poly_power_coefficient(c: int, exponent: int, degree: int) -> int:
                 nxt[d + k] += a
         coeffs = nxt
     return coeffs[degree]
-
-
-def f_bruteforce(n_nodes: int, m: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Independent oracle: enumerate every m-subset of the interior
-    positions and test for a run of >= c consecutive positions."""
-    _check_nmc(n_nodes, m, c)
-    interior = n_nodes - 2
-    if binomial(interior, m) > cap:
-        raise CapExceededError(
-            f"C({interior},{m}) exceeds enumeration cap {cap}"
-        )
-    count = 0
-    for mask in combinations(range(interior), m):
-        if max_run_length(mask) >= c:
-            count += 1
-    return count
 
 
 def max_run_length(positions) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ValidationError
 from .topology import Link, NetworkSegment, make_segment
 
 DEFAULT_ROUTE_CAP = 1 << 20
@@ -21,7 +21,12 @@ Route = tuple[int, ...]
 
 def route_cap_from_env(default: int = DEFAULT_ROUTE_CAP) -> int:
     raw = os.environ.get(ROUTE_CAP_ENV)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"{ROUTE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

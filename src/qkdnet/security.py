@@ -17,7 +17,6 @@ from .combinatorics import p_success_exact, regime_bound
 from .errors import CapExceededError, ValidationError, check_probability
 from .topology import NetworkSegment
 
-DEFAULT_EDGE_CAP = 30
 # epsilon2_exact keeps 2^c window states; at c = 20 its work arrays take
 # about 80 MB, and each further unit of c doubles that.
 MAX_WINDOW_DENSITY = 20
@@ -121,9 +120,7 @@ def epsilon2_regime_valid(seg: NetworkSegment, eps_qkd: float) -> bool:
     return eps_qkd <= 0.5 ** (1.0 / seg.density)
 
 
-def epsilon2_exact(
-    seg: NetworkSegment, eps_qkd: float, edge_cap: int = DEFAULT_EDGE_CAP
-) -> float:
+def epsilon2_exact(seg: NetworkSegment, eps_qkd: float) -> float:
     """Exact probability that independently intercepted links cover every
     route (no clean first-to-last path survives).
 
@@ -136,16 +133,10 @@ def epsilon2_exact(
     and near 1.  Against the exact rational window DP (the test oracle)
     it agrees to 1e-12 relative.
 
-    The edge cap is kept as a guard for callers that should switch to
-    Monte Carlo instead.  Densities above MAX_WINDOW_DENSITY raise
+    Time grows as N * 2^c.  Densities above MAX_WINDOW_DENSITY raise
     CapExceededError before any state array is allocated.
     """
     check_probability(eps_qkd, "eps_qkd")
-    if seg.edge_count > edge_cap:
-        raise CapExceededError(
-            f"segment has {seg.edge_count} edges, exceeding the exact-evaluation "
-            f"cap {edge_cap}; use the Monte Carlo simulator instead"
-        )
     c = seg.density
     if c > MAX_WINDOW_DENSITY:
         raise CapExceededError(
@@ -174,10 +165,7 @@ def epsilon2_exact(
 
 
 def epsilon_qn(
-    seg: NetworkSegment,
-    params: SecurityParams,
-    mode: str = "approx",
-    edge_cap: int = DEFAULT_EDGE_CAP,
+    seg: NetworkSegment, params: SecurityParams, mode: str = "approx"
 ) -> SecurityReport:
     """Composed segment failure bound eps_qn = eps1 + eps2 for the chosen mode."""
     if mode not in ("approx", "exact"):
@@ -187,7 +175,7 @@ def epsilon_qn(
     eps1e = eps2e = None
     if mode == "exact":
         eps1e = epsilon1_exact(seg, params.eps_auth)
-        eps2e = epsilon2_exact(seg, params.eps_qkd, edge_cap=edge_cap)
+        eps2e = epsilon2_exact(seg, params.eps_qkd)
         raw_sum = eps1e + eps2e
     else:
         raw_sum = eps1a + eps2a

@@ -49,6 +49,9 @@ class TrialStats:
     estimate_link: float
     stderr_auth: float
     stderr_link: float
+    # (trials done, auth successes, link successes) after each tenth of the
+    # run, the last entry being the whole run; not part of to_dict().
+    progress: tuple[tuple[int, int, int], ...]
     seed: int
     rng: str = RNG_ALGORITHM
 
@@ -127,12 +130,15 @@ def run_trials(
     """Vectorized Monte Carlo over independent sessions.
 
     Deterministic for a given seed: a single PCG64 stream draws the node
-    matrix first, then the link matrix.
+    matrix first, then the link matrix.  The running counts in
+    ``progress`` come from the same draw as the totals.
     """
     check_probability(p_node, "p_node")
     check_probability(p_link, "p_link")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
     n, c = seg.n_nodes, seg.density
@@ -159,8 +165,13 @@ def run_trials(
         reachable[:, j] = acc
     link_success = ~reachable[:, n]
 
-    successes_auth = int(auth_success.sum())
-    successes_link = int(link_success.sum())
+    # np.unique would import numpy.ma, which costs about 1.3 MB of RSS.
+    marks = sorted({k * trials // 10 for k in range(1, 11)} - {0})
+    ends = [m - 1 for m in marks]
+    auth_done = np.cumsum(auth_success)[ends].tolist()
+    link_done = np.cumsum(link_success)[ends].tolist()
+    successes_auth = auth_done[-1]
+    successes_link = link_done[-1]
     est_auth = successes_auth / trials
     est_link = successes_link / trials
     return TrialStats(
@@ -172,5 +183,6 @@ def run_trials(
         estimate_link=est_link,
         stderr_auth=float(np.sqrt(est_auth * (1 - est_auth) / trials)),
         stderr_link=float(np.sqrt(est_link * (1 - est_link) / trials)),
+        progress=tuple(zip(marks, auth_done, link_done)),
         seed=seed,
     )

@@ -1,17 +1,39 @@
-"""Exact rational oracles for the float attack-probability kernels.
+"""Exact oracles for the library's counts and attack probabilities.
 
-Both return a Fraction evaluated at Fraction(p), the exact value of the
-float argument, so a float kernel can be held to a relative error bound.
+The probability oracles return a Fraction evaluated at Fraction(p), the
+exact value of the float argument, so a float kernel can be held to a
+relative error bound.  f_bruteforce counts run configurations by
+enumerating every subset.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from qkdnet.combinatorics import f_inclusion_exclusion
+from qkdnet import CapExceededError
+from qkdnet.combinatorics import _check_nmc, binomial, f_inclusion_exclusion, max_run_length
+
+DEFAULT_ENUM_CAP = 1 << 22
+
+
+def f_bruteforce(n_nodes: int, m: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> int:
+    """Independent oracle: enumerate every m-subset of the interior
+    positions and test for a run of >= c consecutive positions."""
+    _check_nmc(n_nodes, m, c)
+    interior = n_nodes - 2
+    if binomial(interior, m) > cap:
+        raise CapExceededError(
+            f"C({interior},{m}) exceeds enumeration cap {cap}"
+        )
+    count = 0
+    for mask in combinations(range(interior), m):
+        if max_run_length(mask) >= c:
+            count += 1
+    return count
 
 
 def p_success_rational(n_nodes: int, c: int, p: float) -> Fraction:

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from rational_oracle import f_bruteforce
 
 from qkdnet import (
     build_routing_scheme,
@@ -16,7 +17,6 @@ from qkdnet import (
     epsilon1_approx,
     epsilon2_approx,
     epsilon2_exact,
-    f_bruteforce,
     f_generating_function,
     f_inclusion_exclusion,
     link_attack_succeeds,
@@ -206,7 +206,7 @@ def test_criterion_8_security_spot_values():
         assert eps1 + eps2 == pytest.approx(1.8e-8, rel=1e-12)
         # in-regime exact counterparts within a factor of 2
         eps1_exact_val = p_success_exact(20, 3, 1e-3)
-        eps2_exact_val = epsilon2_exact(seg, 1e-3, edge_cap=60)
+        eps2_exact_val = epsilon2_exact(seg, 1e-3)
         assert 0.5 <= eps1_exact_val / eps1 <= 2.0
         assert 0.5 <= eps2_exact_val / eps2 <= 2.0
     assert t.elapsed < 1

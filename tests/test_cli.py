@@ -1,5 +1,7 @@
 import json
+import shlex
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -48,14 +50,10 @@ def test_analyze_validation_error(capsys):
 
 
 def test_analyze_exact_mode_cap(capsys):
-    code, _, err = run_cli(
-        capsys, "analyze", "--n", "20", "--c", "3", "--mode", "exact",
-        "--eps-auth", "1e-3", "--eps-qkd", "1e-3",
-    )
-    assert code == 3  # 54 edges exceed the default exact cap
+    # 54 edges: only the window density limits exact evaluation
     code, out, _ = run_cli(
         capsys, "analyze", "--n", "20", "--c", "3", "--mode", "exact",
-        "--eps-auth", "1e-3", "--eps-qkd", "1e-3", "--edge-cap", "60",
+        "--eps-auth", "1e-3", "--eps-qkd", "1e-3",
     )
     assert code == 0
     payload = json.loads(out)
@@ -182,6 +180,47 @@ def test_simulate_progress_csv(capsys, tmp_path):
     lines = target.read_text().strip().split("\n")
     assert lines[0] == "trials,estimate_auth,estimate_link"
     assert lines[-1].startswith("1000,")
+
+
+def test_simulate_progress_csv_ends_at_reported_result(capsys, tmp_path):
+    target = tmp_path / "progress.csv"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--n", "20", "--c", "3", "--p-node", "0.6",
+        "--p-link", "0.3", "--trials", "15", "--seed", "7",
+        "--progress-csv", str(target),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    rows = [line.split(",") for line in target.read_text().strip().split("\n")[1:]]
+    assert [int(row[0]) for row in rows] == [1, 3, 4, 6, 7, 9, 10, 12, 13, 15]
+    assert float(rows[-1][1]) == payload["estimate_auth"]
+    assert float(rows[-1][2]) == payload["estimate_link"]
+
+
+def test_simulate_negative_seed_is_validation_error(capsys):
+    code, _, err = run_cli(
+        capsys, "simulate", "--n", "20", "--c", "3", "--trials", "10", "--seed", "-1",
+    )
+    assert code == 2
+    assert "seed" in err
+
+
+def test_routes_bad_route_cap_env_is_validation_error(capsys, monkeypatch):
+    monkeypatch.setenv("QKDNET_ROUTE_CAP", "abc")
+    code, _, err = run_cli(capsys, "routes", "--n", "6", "--c", "2", "--enumerate")
+    assert code == 2
+    assert "QKDNET_ROUTE_CAP" in err
+
+
+def test_readme_cli_examples_run():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands
+    for argv in commands:
+        assert argv[0] == "qkdnet"
+        assert main(argv[1:]) == 0, argv
 
 
 def test_optimize_c(capsys):

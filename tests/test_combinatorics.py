@@ -5,12 +5,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rational_oracle import f_bruteforce
 
 from qkdnet import (
     CapExceededError,
     ValidationError,
     binomial,
-    f_bruteforce,
     f_generating_function,
     f_inclusion_exclusion,
     p_compromise_m,

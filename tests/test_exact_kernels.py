@@ -40,7 +40,7 @@ def test_epsilon2_exact_matches_rational_oracle(n):
     for c in range(1, min(n - 1, 8) + 1):
         seg = make_segment(n, c)
         for q in GRID_P:
-            got = epsilon2_exact(seg, q, edge_cap=seg.edge_count)
+            got = epsilon2_exact(seg, q)
             assert_close(got, epsilon2_rational(n, c, q), (n, c, q))
 
 
@@ -50,7 +50,7 @@ def test_exact_kernels_scale_polynomially():
     p_success_exact(1000, 5, 0.1)
     assert time.perf_counter() - start < 1.0
     start = time.perf_counter()
-    epsilon2_exact(make_segment(300, 10), 0.1, edge_cap=10**6)
+    epsilon2_exact(make_segment(300, 10), 0.1)
     assert time.perf_counter() - start < 1.0
 
 
@@ -59,8 +59,8 @@ def test_window_density_cap(capsys):
     # cap to watch it allocate.
     c = MAX_WINDOW_DENSITY + 1
     with pytest.raises(CapExceededError):
-        epsilon2_exact(make_segment(c + 2, c), 0.1, edge_cap=10**6)
+        epsilon2_exact(make_segment(c + 2, c), 0.1)
     code = main(["analyze", "--n", str(c + 2), "--c", str(c), "--eps-auth", "0.1",
-                 "--eps-qkd", "0.1", "--mode", "exact", "--edge-cap", "1000000"])
+                 "--eps-qkd", "0.1", "--mode", "exact"])
     assert code == 3
     assert "window states" in capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 from rational_oracle import epsilon2_rational
 
 from qkdnet import (
-    CapExceededError,
     SecurityParams,
     ValidationError,
     epsilon1_approx,
@@ -125,10 +124,8 @@ def test_epsilon2_exact_leading_order_and_lower_bound():
 
 
 def test_epsilon2_exact_edge_cap():
-    with pytest.raises(CapExceededError):
-        epsilon2_exact(make_segment(20, 3), 0.1)  # 54 edges > default cap
-    # explicit cap override allows it
-    assert 0 < epsilon2_exact(make_segment(20, 3), 0.1, edge_cap=60) < 1
+    # 54 edges: only the window density limits exact evaluation
+    assert 0 < epsilon2_exact(make_segment(20, 3), 0.1) < 1
 
 
 def test_epsilon_qn_composition():
