@@ -4,8 +4,8 @@ Subcommands: analyze, sweep, routes, simulate, optimize-c, demo-protocol.
 All outputs are machine-readable (JSON or CSV); probabilities are printed
 with 12 significant digits, route counts as decimal strings.
 
-Exit codes: 0 success, 2 validation error, 3 resource-cap error,
-4 internal inconsistency.
+Exit codes: 0 success, 2 validation error or unwritable output file,
+3 resource-cap error, 4 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -157,8 +157,16 @@ def _write_progress_csv(path, stats) -> None:
         f"{done},{auth / done:.12g},{link / done:.12g}"
         for done, auth, link in stats.progress
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_file(path, "\n".join(lines) + "\n")
+
+
+def _write_file(path, text: str) -> None:
+    """Write an output file; an unwritable path is a ValidationError (exit 2)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_optimize_c(args) -> int:
@@ -234,9 +242,7 @@ def _write_transcript_json(path, seg, scheme, transcript) -> None:
             for link, ciphertext in transcript.messages
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_file(path, json.dumps(payload, indent=2) + "\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

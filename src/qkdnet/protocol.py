@@ -67,15 +67,38 @@ def _keystream(link_key: int, key_len: int, nbits: int) -> int:
 
 
 def _concat_keys(keys: list[int], key_len: int) -> int:
-    value = 0
-    for key in keys:
-        value = (value << key_len) | key
-    return value
+    """One integer holding the keys, the first in the most significant bits.
+
+    Zero keys pad the front to a power of two (they add only leading
+    zeros), then neighbours are joined pairwise, doubling the width each
+    round.  Every shift-or is no longer than its result, so the cost is
+    O(total bits * log(len(keys))), not quadratic as with one running
+    accumulator.
+    """
+    rounds = max(len(keys) - 1, 0).bit_length()
+    parts = [0] * ((1 << rounds) - len(keys)) + list(keys)
+    width = key_len
+    for _ in range(rounds):
+        parts = [(hi << width) | lo for hi, lo in zip(parts[::2], parts[1::2])]
+        width <<= 1
+    return parts[0]
 
 
 def _split_keys(value: int, count: int, key_len: int) -> list[int]:
-    mask = (1 << key_len) - 1
-    return [(value >> (key_len * (count - 1 - i))) & mask for i in range(count)]
+    """The low ``count`` keys of ``value``, most significant first.
+
+    The inverse of ``_concat_keys``, by halving: each round splits every
+    part into its high and low halves, and the padding parts in front
+    are dropped at the end.
+    """
+    rounds = max(count - 1, 0).bit_length()
+    parts = [value & ((1 << (count * key_len)) - 1)]
+    width = key_len << rounds
+    for _ in range(rounds):
+        width >>= 1
+        mask = (1 << width) - 1
+        parts = [half for part in parts for half in (part >> width, part & mask)]
+    return parts[len(parts) - count :]
 
 
 def run_session(

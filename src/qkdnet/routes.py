@@ -71,10 +71,13 @@ def enumerate_routes(seg: NetworkSegment, cap: int | None = None) -> RouteSet:
 
     Refuses with CapExceededError when the exact count exceeds ``cap``
     (default 2^20, overridable via the QKDNET_ROUTE_CAP environment
-    variable) since the count grows exponentially with N.
+    variable) since the count grows exponentially with N.  A cap below 1
+    is a ValidationError: every segment has at least one route.
     """
     if cap is None:
         cap = route_cap_from_env()
+    if cap < 1:
+        raise ValidationError(f"route cap must be >= 1, got {cap}")
     count = cannacci_count(seg.n_nodes, seg.density)
     if count > cap:
         raise CapExceededError(

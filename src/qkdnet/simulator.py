@@ -4,6 +4,13 @@ Each trial independently compromises interior nodes and intercepts links,
 then applies the structural success predicates.  Node and link attacks are
 sampled in the same trial loop but scored independently; a joint counter
 is kept only as a diagnostic.
+
+Trials run in blocks of ``max(1, BLOCK_ELEMENTS // (interior + edges))``,
+so a block holds at most ``BLOCK_ELEMENTS`` draws (8 MB as float64, 1 MB
+as masks) whatever ``trials`` is, unless a single trial needs more; only
+running counts carry over from one block to the next.  Each block draws its node
+rows, then its link rows, from one PCG64 stream (see ``run_trials``), and
+one sliding-window pass over the band scores both attacks.
 """
 
 from __future__ import annotations
@@ -17,6 +24,8 @@ from .errors import InconsistencyError, ValidationError, check_probability
 from .topology import Link, NetworkSegment
 
 RNG_ALGORITHM = "numpy-pcg64"
+# Draws per trial block; see the module docstring.
+BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,42 @@ def link_attack_succeeds(seg: NetworkSegment, intercepted) -> bool:
     return not reachable[seg.n_nodes]
 
 
+def _score_block(
+    seg: NetworkSegment, hits: np.ndarray, clean: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial (node attack, link attack) verdicts of one block.
+
+    ``hits`` has one row per interior node 2..N-1, True where compromised;
+    ``clean`` has one row per link in ascending (dst, src) order, True
+    where not intercepted; columns are trials.  One pass over the band
+    runs both forward reachability chains from node 1: node j is reached
+    when one of its (up to c) predecessors is reached and, in the node
+    chain, j is not compromised or, in the link chain, the link from that
+    predecessor is clean.  An attack succeeds where node N is not
+    reached.  Listing links by (dst, src) makes the in-links of j
+    consecutive rows, aligned with the predecessor rows.
+    """
+    n, c = seg.n_nodes, seg.density
+    size = hits.shape[1]
+    # Row j-1 holds node j.
+    node_reach = np.empty((n, size), dtype=bool)
+    link_reach = np.empty((n, size), dtype=bool)
+    window = np.empty((c, size), dtype=bool)
+    node_reach[0] = link_reach[0] = True
+    row = 0
+    for j in range(2, n + 1):
+        lo = max(j - c, 1)
+        k = j - lo
+        np.logical_or.reduce(node_reach[lo - 1 : j - 1], axis=0, out=node_reach[j - 1])
+        if j < n:
+            # reached and not compromised: a & ~b is a > b on bools
+            np.greater(node_reach[j - 1], hits[j - 2], out=node_reach[j - 1])
+        np.logical_and(link_reach[lo - 1 : j - 1], clean[row : row + k], out=window[:k])
+        np.logical_or.reduce(window[:k], axis=0, out=link_reach[j - 1])
+        row += k
+    return ~node_reach[n - 1], ~link_reach[n - 1]
+
+
 def run_trials(
     seg: NetworkSegment,
     p_node: float,
@@ -129,8 +174,15 @@ def run_trials(
 ) -> TrialStats:
     """Vectorized Monte Carlo over independent sessions.
 
-    Deterministic for a given seed: a single PCG64 stream draws the node
-    matrix first, then the link matrix.  The running counts in
+    Deterministic for a given seed.  Trials run in blocks of
+    ``B = max(1, BLOCK_ELEMENTS // (interior + edges))``, the last block
+    taking the remainder.  For each block a single PCG64 stream draws a
+    C-order float64 array of shape (interior, B), one row per interior
+    node 2..N-1, then one of shape (edges, B), one row per link in
+    ascending (dst, src) order; a node is compromised when its draw is
+    < ``p_node`` and a link intercepted when its draw is < ``p_link``.
+    Memory is bounded by the block, about ``8 * BLOCK_ELEMENTS`` bytes of
+    draws, and does not grow with ``trials``.  The running counts in
     ``progress`` come from the same draw as the totals.
     """
     check_probability(p_node, "p_node")
@@ -141,48 +193,41 @@ def run_trials(
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
     rng = np.random.default_rng(seed)
-    n, c = seg.n_nodes, seg.density
-    interior = n - 2
-
-    node_hits = rng.random((trials, interior)) < p_node
-    link_clean = rng.random((trials, seg.edge_count)) >= p_link
-
-    # Node attack: any window of c consecutive interior positions fully hit.
-    if c <= interior:
-        window = np.lib.stride_tricks.sliding_window_view(node_hits, c, axis=1)
-        auth_success = window.all(axis=2).any(axis=1)
-    else:
-        auth_success = np.zeros(trials, dtype=bool)
-
-    # Link attack: forward reachability of node N over clean links.
-    edge_index = {link: k for k, link in enumerate(seg.edges())}
-    reachable = np.zeros((trials, n + 1), dtype=bool)
-    reachable[:, 1] = True
-    for j in range(2, n + 1):
-        acc = np.zeros(trials, dtype=bool)
-        for i in range(max(j - c, 1), j):
-            acc |= reachable[:, i] & link_clean[:, edge_index[Link(i, j)]]
-        reachable[:, j] = acc
-    link_success = ~reachable[:, n]
-
+    interior, edges = seg.n_nodes - 2, seg.edge_count
+    block = max(1, BLOCK_ELEMENTS // (interior + edges))
     # np.unique would import numpy.ma, which costs about 1.3 MB of RSS.
     marks = sorted({k * trials // 10 for k in range(1, 11)} - {0})
-    ends = [m - 1 for m in marks]
-    auth_done = np.cumsum(auth_success)[ends].tolist()
-    link_done = np.cumsum(link_success)[ends].tolist()
-    successes_auth = auth_done[-1]
-    successes_link = link_done[-1]
+    progress = []
+    successes_auth = successes_link = successes_joint = 0
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        hits = rng.random((interior, size)) < p_node
+        clean = rng.random((edges, size)) >= p_link
+        auth, link = _score_block(seg, hits, clean)
+        while marks and marks[0] <= start + size:
+            done = marks.pop(0) - start
+            progress.append(
+                (
+                    start + done,
+                    successes_auth + int(np.count_nonzero(auth[:done])),
+                    successes_link + int(np.count_nonzero(link[:done])),
+                )
+            )
+        successes_auth += int(np.count_nonzero(auth))
+        successes_link += int(np.count_nonzero(link))
+        successes_joint += int(np.count_nonzero(auth & link))
+
     est_auth = successes_auth / trials
     est_link = successes_link / trials
     return TrialStats(
         trials=trials,
         successes_auth=successes_auth,
         successes_link=successes_link,
-        successes_joint=int((auth_success & link_success).sum()),
+        successes_joint=successes_joint,
         estimate_auth=est_auth,
         estimate_link=est_link,
         stderr_auth=float(np.sqrt(est_auth * (1 - est_auth) / trials)),
         stderr_link=float(np.sqrt(est_link * (1 - est_link) / trials)),
-        progress=tuple(zip(marks, auth_done, link_done)),
+        progress=tuple(progress),
         seed=seed,
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from importlib import resources
@@ -212,6 +213,45 @@ def test_routes_bad_route_cap_env_is_validation_error(capsys, monkeypatch):
     assert "QKDNET_ROUTE_CAP" in err
 
 
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_routes_cap_below_one_is_validation_error(capsys, monkeypatch, cap):
+    code, _, err = run_cli(capsys, "routes", "--n", "6", "--c", "2", "--enumerate", "--cap", cap)
+    assert code == 2
+    assert "route cap must be >= 1" in err
+    monkeypatch.setenv("QKDNET_ROUTE_CAP", cap)
+    code, _, err = run_cli(capsys, "routes", "--n", "6", "--c", "2", "--enumerate")
+    assert code == 2
+    assert "route cap must be >= 1" in err
+
+
+def test_routes_cap_at_and_below_route_count(capsys):
+    # (6, 2) has 8 routes
+    code, _, _ = run_cli(capsys, "routes", "--n", "6", "--c", "2", "--enumerate", "--cap", "8")
+    assert code == 0
+    code, _, err = run_cli(capsys, "routes", "--n", "6", "--c", "2", "--enumerate", "--cap", "7")
+    assert code == 3
+    assert "exceeds materialization cap 7" in err
+
+
+def test_simulate_unwritable_progress_csv_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "progress.csv"
+    code, _, err = run_cli(
+        capsys, "simulate", "--n", "6", "--c", "2", "--trials", "10", "--seed", "1",
+        "--progress-csv", str(target),
+    )
+    assert code == 2
+    assert err.startswith("error: cannot write")
+
+
+def test_demo_protocol_unwritable_json_out_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "transcript.json"
+    code, _, err = run_cli(
+        capsys, "demo-protocol", "--n", "6", "--c", "2", "--json-out", str(target),
+    )
+    assert code == 2
+    assert err.startswith("error: cannot write")
+
+
 def test_readme_cli_examples_run():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -253,6 +293,23 @@ def test_demo_protocol(capsys, tmp_path):
     assert "PASS" in out1
     transcript = json.loads(target.read_text())
     assert len(transcript["messages"]) == 9
+
+
+# sha256 of stdout, recorded before the key packing became linear; every
+# ciphertext digest line depends on the packed route keys.
+PINNED_DEMO_STDOUT = {
+    ("--n", "20", "--c", "2", "--seed", "3"):
+        "b18c5c7d00553805f6b655e38b2a762d2249bd694bddbb1541241e3ff0f35e97",
+    ("--n", "12", "--c", "4", "--key-len", "7", "--seed", "5"):
+        "ed99f080cda00a4f120ed335d1edb7c3aa465f6f0c356e8b67043cb5a0e42c84",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_DEMO_STDOUT))
+def test_demo_protocol_pinned_bytes(capsys, args):
+    code, out, _ = run_cli(capsys, "demo-protocol", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEMO_STDOUT[args]
 
 
 def test_demo_protocol_serial(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from qkdnet import (
     run_session,
     reconstruct_at_endpoint,
 )
-from qkdnet.protocol import SessionTranscript, _keystream
+from qkdnet.protocol import SessionTranscript, _concat_keys, _keystream, _split_keys
 
 
 def session(n, c, key_len=32, seed=11):
@@ -181,3 +182,31 @@ def test_long_link_keys_do_not_alias():
     key = (1 << 511) + 12345
     block = hashlib.blake2b((0).to_bytes(8, "big"), key=key.to_bytes(64, "big")).digest()
     assert _keystream(key, 512, 512) == int.from_bytes(block, "big")
+
+
+def reference_concat_keys(keys, key_len):
+    """The running shift-or accumulator: simple, quadratic in len(keys)."""
+    value = 0
+    for key in keys:
+        value = (value << key_len) | key
+    return value
+
+
+def reference_split_keys(value, count, key_len):
+    mask = (1 << key_len) - 1
+    return [(value >> (key_len * (count - 1 - i))) & mask for i in range(count)]
+
+
+@pytest.mark.parametrize("key_len", [1, 7, 8, 127, 128, 129])
+def test_key_packing_matches_shift_or_reference(key_len):
+    rng = random.Random(key_len)
+    for count in [*range(0, 34), 63, 64, 65, 1000]:
+        keys = [rng.getrandbits(key_len) for _ in range(count)]
+        packed = _concat_keys(keys, key_len)
+        assert packed == reference_concat_keys(keys, key_len)
+        assert _split_keys(packed, count, key_len) == keys
+        # bits above count * key_len are ignored, as by the reference
+        noisy = packed | (rng.getrandbits(40) << (count * key_len))
+        assert _split_keys(noisy, count, key_len) == reference_split_keys(
+            noisy, count, key_len
+        )

@@ -1,6 +1,10 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdnet import (
     CompromiseScenario,
@@ -13,6 +17,7 @@ from qkdnet import (
     p_success_exact,
     run_trials,
 )
+from qkdnet.simulator import BLOCK_ELEMENTS, _score_block
 
 
 def oracle_clean_node_path(seg, compromised):
@@ -132,3 +137,81 @@ def test_stats_invariants():
     assert stats.estimate_link == stats.successes_link / stats.trials
     assert stats.successes_joint <= min(stats.successes_auth, stats.successes_link)
     assert stats.rng == "numpy-pcg64"
+
+
+def link_rows(seg):
+    """Links in the row order of the link masks: ascending (dst, src)."""
+    return sorted(seg.edges(), key=lambda link: (link.dst, link.src))
+
+
+@given(n=st.integers(3, 12), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_score_block_matches_predicates(n, data):
+    c = data.draw(st.integers(1, n - 1))
+    seg = make_segment(n, c)
+    size = data.draw(st.integers(1, 6))
+    flags = st.lists(st.booleans(), min_size=size, max_size=size)
+    hits = np.array(data.draw(st.lists(flags, min_size=n - 2, max_size=n - 2)), dtype=bool)
+    clean = np.array(
+        data.draw(st.lists(flags, min_size=seg.edge_count, max_size=seg.edge_count)),
+        dtype=bool,
+    )
+    auth, link = _score_block(seg, hits, clean)
+    rows = link_rows(seg)
+    for t in range(size):
+        compromised = {node for node, hit in zip(seg.interior_nodes, hits[:, t]) if hit}
+        intercepted = [l for l, ok in zip(rows, clean[:, t]) if not ok]
+        assert auth[t] == node_attack_succeeds(seg, compromised)
+        assert link[t] == link_attack_succeeds(seg, intercepted)
+
+
+BLOCK_SEG = make_segment(40, 5)
+BLOCK = BLOCK_ELEMENTS // (BLOCK_SEG.n_nodes - 2 + BLOCK_SEG.edge_count)
+
+
+def replay_verdicts(seg, p_node, p_link, trials, seed):
+    """Per-trial verdicts from the documented draw order, block by block."""
+    rng = np.random.default_rng(seed)
+    block = BLOCK_ELEMENTS // (seg.n_nodes - 2 + seg.edge_count)
+    auth, link = [], []
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        hits = rng.random((seg.n_nodes - 2, size)) < p_node
+        clean = rng.random((seg.edge_count, size)) >= p_link
+        a, l = _score_block(seg, hits, clean)
+        auth.append(a)
+        link.append(l)
+    return np.concatenate(auth), np.concatenate(link)
+
+
+@pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_trials_across_block_boundaries(trials):
+    stats = run_trials(BLOCK_SEG, 0.6, 0.45, trials, seed=17)
+    done = [row[0] for row in stats.progress]
+    assert done == sorted(set(done)) and done[0] >= 1
+    assert stats.progress[-1] == (trials, stats.successes_auth, stats.successes_link)
+    assert stats.successes_joint <= min(stats.successes_auth, stats.successes_link)
+    assert run_trials(BLOCK_SEG, 0.6, 0.45, trials, seed=17) == stats
+
+    auth, link = replay_verdicts(BLOCK_SEG, 0.6, 0.45, trials, seed=17)
+    assert stats.successes_joint == int((auth & link).sum())
+    assert stats.progress == tuple(
+        (k, int(auth[:k].sum()), int(link[:k].sum())) for k in done
+    )
+
+
+def alloc_peak(seg, trials):
+    tracemalloc.start()
+    try:
+        run_trials(seg, 0.5, 0.4, trials, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_trials_memory_is_bounded_in_trials():
+    # one undivided draw at this size would be about 1.7 GB of float64
+    seg = make_segment(200, 10)
+    peak = alloc_peak(seg, 100_000)
+    assert peak < 64 * 2**20
+    assert peak <= 1.25 * alloc_peak(seg, 10_000)
