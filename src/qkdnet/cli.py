@@ -68,6 +68,11 @@ def cmd_analyze(args) -> int:
 def _sweep_grid(args) -> list[float]:
     if not args.start < args.stop:
         raise ValidationError(f"start must be < stop, got [{args.start}, {args.stop}]")
+    # start < stop rules out NaN, so inf is the only span that is not finite
+    if args.stop - args.start == float("inf"):
+        raise ValidationError(
+            f"start and stop must span a finite range, got [{args.start}, {args.stop}]"
+        )
     if args.points < 2:
         raise ValidationError(f"points must be >= 2, got {args.points}")
     if args.spacing == "log":
@@ -123,16 +128,15 @@ def cmd_routes(args) -> int:
         "c": args.c,
         "count": str(routes.cannacci_count(args.n, args.c)),
     }
-    if args.enumerate or args.scheme:
+    if args.enumerate:
         rs = routes.enumerate_routes(seg, cap=args.cap)
-        if args.enumerate:
-            payload["routes"] = [list(r) for r in rs.routes]
-        if args.scheme:
-            scheme = routes.build_routing_scheme(rs)
-            payload["scheme"] = {
-                f"{link.src}-{link.dst}": list(bundle)
-                for link, bundle in scheme.per_link_bundles.items()
-            }
+        payload["routes"] = [list(r) for r in rs.routes]
+    elif args.scheme:
+        scheme = routes.build_routing_scheme(seg, cap=args.cap)
+        payload["scheme"] = {
+            f"{link.src}-{link.dst}": list(bundle)
+            for link, bundle in scheme.per_link_bundles.items()
+        }
     _print_json(payload)
     return EXIT_OK
 
@@ -188,8 +192,7 @@ def cmd_optimize_c(args) -> int:
 
 def cmd_demo_protocol(args) -> int:
     seg = make_segment(args.n, args.c)
-    rs = routes.enumerate_routes(seg)
-    scheme = routes.build_routing_scheme(rs)
+    scheme = routes.build_routing_scheme(seg)
     keys, transcript, final_key = protocol.run_session(
         seg, scheme, args.key_len, args.seed
     )
@@ -201,7 +204,7 @@ def cmd_demo_protocol(args) -> int:
             messages=tuple(messages), key_len=args.key_len
         )
 
-    print(f"segment n={args.n} c={args.c}: {rs.count} routes, "
+    print(f"segment n={args.n} c={args.c}: {scheme.route_count} routes, "
           f"{seg.edge_count} links, key_len={args.key_len}")
     for i, (link, ciphertext) in enumerate(messages, start=1):
         bundle = scheme.per_link_bundles[link]
@@ -209,7 +212,7 @@ def cmd_demo_protocol(args) -> int:
         digest = hashlib.blake2b(
             ciphertext.to_bytes(max((nbits + 7) // 8, 1), "big"), digest_size=8
         ).hexdigest()
-        ids = " ".join(f"K{j}" for j in bundle)
+        ids = "K" + " K".join(map(str, bundle))
         print(f"message {i}: link {link.src}->{link.dst}  ({ids}) XOR k_{link.src}{link.dst}  digest={digest}")
 
     last = seg.n_nodes
@@ -301,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-protocol", help="run one key-transport session")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
-    p.add_argument("--key-len", type=int, default=128)
+    p.add_argument("--key-len", type=int, default=128,
+                   help=f"bits per key, 1..{protocol.MAX_KEY_LEN}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt", action="store_true",
                    help="flip one ciphertext bit to demonstrate FAIL detection")

@@ -21,6 +21,9 @@ from .routes import RoutingScheme
 from .simulator import CompromiseScenario
 from .topology import Link, NetworkSegment
 
+# Longest key, in bits (8 KiB); every route key and link key has key_len bits.
+MAX_KEY_LEN = 1 << 16
+
 
 @dataclass(frozen=True)
 class SessionKeys:
@@ -108,8 +111,8 @@ def run_session(
     final key (XOR of all route keys)."""
     if scheme.segment != seg:
         raise ValidationError("routing scheme was built for a different segment")
-    if key_len < 1:
-        raise ValidationError(f"key_len must be >= 1, got {key_len}")
+    if not 1 <= key_len <= MAX_KEY_LEN:
+        raise ValidationError(f"key_len must be in [1, {MAX_KEY_LEN}], got {key_len}")
     rng = random.Random(seed)
     link_keys = {link: rng.getrandbits(key_len) for link in seg.edges()}
     route_keys = tuple(rng.getrandbits(key_len) for _ in range(scheme.route_count))

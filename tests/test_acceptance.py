@@ -175,7 +175,7 @@ def test_criterion_7_protocol_round_trip():
         for n in range(3, 10):
             for c in range(1, min(n - 1, 4)):
                 seg = make_segment(n, c)
-                scheme = build_routing_scheme(enumerate_routes(seg))
+                scheme = build_routing_scheme(seg)
                 for key_len in (1, 8, 128):
                     keys, transcript, final_key = run_session(
                         seg, scheme, key_len, seed=n * 1000 + c * 10 + key_len

@@ -312,6 +312,62 @@ def test_demo_protocol_pinned_bytes(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEMO_STDOUT[args]
 
 
+# sha256 recorded before the routing scheme was built from prefix ranks.
+PINNED_SCHEME_STDOUT = "9f53853dbf2721e978d447469f09639f44f4eee722cce4173880ad2ef9dc2127"
+PINNED_DEMO_JSON_OUT = "c940fd4d6ecf3757409ddff325e8c67722ecbff68f7ac4b6df88e0f12f263be2"
+
+
+def test_routes_scheme_and_transcript_pinned_bytes(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "routes", "--n", "12", "--c", "4", "--scheme")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCHEME_STDOUT
+    target = tmp_path / "transcript.json"
+    code, _, _ = run_cli(
+        capsys, "demo-protocol", "--n", "16", "--c", "3", "--seed", "9",
+        "--json-out", str(target),
+    )
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == PINNED_DEMO_JSON_OUT
+
+
+def test_demo_protocol_route_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("QKDNET_ROUTE_CAP", "7")
+    code, out, err = run_cli(capsys, "demo-protocol", "--n", "6", "--c", "2")
+    assert code == 3
+    assert out == ""
+    assert "route count 8 exceeds materialization cap 7" in err
+
+
+@pytest.mark.parametrize("key_len", ["0", "65537", "100000000000"])
+def test_demo_protocol_key_len_out_of_range_exits_2(capsys, key_len):
+    code, out, err = run_cli(capsys, "demo-protocol", "--n", "6", "--c", "2", "--key-len", key_len)
+    assert code == 2
+    assert out == ""
+    assert "key_len must be in [1, 65536]" in err
+
+
+def test_demo_protocol_longest_key_len(capsys):
+    code, out, _ = run_cli(capsys, "demo-protocol", "--n", "4", "--c", "2", "--key-len", "65536")
+    assert code == 0
+    assert "PASS" in out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--param", "N", "--start", "1e300", "--stop", "inf", "--points", "2"),
+        ("--param", "p", "--start", "0", "--stop", "1e400", "--points", "3"),
+        ("--param", "p", "--start=-1.5e308", "--stop", "1.5e308", "--points", "3"),
+    ],
+)
+def test_sweep_infinite_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: start and stop must span a finite range")
+
+
 def test_demo_protocol_serial(capsys):
     code, out, _ = run_cli(capsys, "demo-protocol", "--n", "3", "--c", "1")
     assert code == 0

@@ -10,7 +10,6 @@ from qkdnet import (
     ValidationError,
     adversary_view,
     build_routing_scheme,
-    enumerate_routes,
     link_attack_succeeds,
     make_segment,
     node_attack_succeeds,
@@ -22,7 +21,7 @@ from qkdnet.protocol import SessionTranscript, _concat_keys, _keystream, _split_
 
 def session(n, c, key_len=32, seed=11):
     seg = make_segment(n, c)
-    scheme = build_routing_scheme(enumerate_routes(seg))
+    scheme = build_routing_scheme(seg)
     keys, transcript, final_key = run_session(seg, scheme, key_len, seed)
     return seg, scheme, keys, transcript, final_key
 
@@ -82,7 +81,7 @@ def test_reconstruct_rejects_missing_key():
 
 def test_segment_scheme_mismatch_rejected():
     seg = make_segment(6, 2)
-    other = build_routing_scheme(enumerate_routes(make_segment(7, 2)))
+    other = build_routing_scheme(make_segment(7, 2))
     with pytest.raises(ValidationError):
         run_session(seg, other, 8, 1)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qkdnet import (
     CapExceededError,
     Link,
+    ValidationError,
     build_routing_scheme,
     cannacci_count,
     enumerate_routes,
@@ -82,9 +83,44 @@ def test_route_cap_env_override(monkeypatch):
         enumerate_routes(make_segment(6, 2))
 
 
+def reference_scheme(rs):
+    """Per-hop routing scheme: each route id is appended to the bundle of
+    every link it traverses, links in ``seg.edges()`` order."""
+    bundles = {link: [] for link in rs.segment.edges()}
+    for idx, route in enumerate(rs.routes, start=1):
+        for a, b in zip(route, route[1:]):
+            bundles[Link(a, b)].append(idx)
+    return {link: tuple(ids) for link, ids in bundles.items()}
+
+
+# the demo-protocol segments of the benchmark's validation workload
+DEMO_SEGMENTS = ((16, 2), (13, 3), (12, 4), (17, 2), (14, 3), (18, 2),
+                 (13, 4), (15, 3), (19, 2), (16, 3), (20, 2))
+
+
+@pytest.mark.parametrize(
+    "n,c", [(n, c) for n in range(3, 15) for c in range(1, n)] + list(DEMO_SEGMENTS)
+)
+def test_routing_scheme_matches_per_hop_reference(n, c):
+    seg = make_segment(n, c)
+    rs = enumerate_routes(seg)
+    scheme = build_routing_scheme(seg)
+    assert scheme.route_count == rs.count
+    assert list(scheme.per_link_bundles.items()) == list(reference_scheme(rs).items())
+
+
+def test_routing_scheme_cap():
+    seg = make_segment(6, 2)  # 8 routes
+    assert build_routing_scheme(seg, cap=8).route_count == 8
+    with pytest.raises(CapExceededError, match="route count 8 exceeds materialization cap 7"):
+        build_routing_scheme(seg, cap=7)
+    with pytest.raises(ValidationError, match="route cap must be >= 1"):
+        build_routing_scheme(seg, cap=0)
+
+
 def test_routing_scheme_first_node_partition():
     seg = make_segment(6, 2)
-    scheme = build_routing_scheme(enumerate_routes(seg))
+    scheme = build_routing_scheme(seg)
     b12 = scheme.per_link_bundles[Link(1, 2)]
     b13 = scheme.per_link_bundles[Link(1, 3)]
     assert len(b12) + len(b13) == 8
@@ -96,7 +132,7 @@ def test_routing_scheme_first_node_partition():
 def test_routing_scheme_last_link_bundle():
     seg = make_segment(6, 2)
     rs = enumerate_routes(seg)
-    scheme = build_routing_scheme(rs)
+    scheme = build_routing_scheme(seg)
     expected = tuple(
         i for i, route in enumerate(rs.routes, start=1) if route[-2:] == (5, 6)
     )
@@ -105,7 +141,7 @@ def test_routing_scheme_last_link_bundle():
 
 def test_serial_chain_every_link_carries_route_1():
     seg = make_segment(3, 1)
-    scheme = build_routing_scheme(enumerate_routes(seg))
+    scheme = build_routing_scheme(seg)
     assert all(bundle == (1,) for bundle in scheme.per_link_bundles.values())
 
 
@@ -113,7 +149,7 @@ def test_serial_chain_every_link_carries_route_1():
 def test_routing_scheme_partitions_both_endpoints(n, c):
     seg = make_segment(n, c)
     rs = enumerate_routes(seg)
-    scheme = build_routing_scheme(rs)
+    scheme = build_routing_scheme(seg)
     all_ids = set(range(1, rs.count + 1))
     for node_links in (
         [Link(1, j) for j in seg.out_neighbors(1)],

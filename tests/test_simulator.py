@@ -17,7 +17,7 @@ from qkdnet import (
     p_success_exact,
     run_trials,
 )
-from qkdnet.simulator import BLOCK_ELEMENTS, _score_block
+from qkdnet.simulator import BLOCK_BYTES, CHUNK_LANES, _draw_hits, _score_block
 
 
 def oracle_clean_node_path(seg, compromised):
@@ -165,26 +165,94 @@ def test_score_block_matches_predicates(n, data):
         assert link[t] == link_attack_succeeds(seg, intercepted)
 
 
+def pack(masks):
+    """Bool masks (rows, trials) as uint64 words, trial t in bit t % 64 of
+    word t // 64; the unused bits of the last word are 0."""
+    words = -(-masks.shape[1] // 64)
+    padded = np.zeros((masks.shape[0], 64 * words), dtype=bool)
+    padded[:, : masks.shape[1]] = masks
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
+def unpack(words, size):
+    return np.unpackbits(words.view(np.uint8), count=size, bitorder="little").astype(bool)
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_score_block_words_match_bools(n):
+    rng = np.random.default_rng(n)
+    for c in range(1, n):
+        seg = make_segment(n, c)
+        size = 200
+        hits = rng.random((n - 2, size)) < 0.5
+        clean = rng.random((seg.edge_count, size)) < 0.6
+        auth, link = _score_block(seg, hits, clean)
+        auth_w, link_w = _score_block(seg, pack(hits), pack(clean))
+        assert auth_w.dtype == link_w.dtype == np.uint64
+        assert np.array_equal(unpack(auth_w, size), auth)
+        assert np.array_equal(unpack(link_w, size), link)
+
+
+@pytest.mark.parametrize("p", [0.0, 1 / 256, 0.2, 0.5, 255.5 / 256, 1.0])
+@pytest.mark.parametrize("rows,words", [(5, 1), (3, CHUNK_LANES // 128)])
+def test_draw_hits_replays_raw_bytes_and_tie_floats(p, rows, words):
+    rng = np.random.default_rng(31)
+    drawn = _draw_hits(rng, p, rows, words)
+    assert drawn.shape == (rows, words) and drawn.dtype == np.uint64
+    lanes = unpack(drawn, rows * words * 64)
+
+    replay = np.random.default_rng(31)
+    if p in (0.0, 1.0):
+        # certain outcomes consume no draws
+        assert rng.bit_generator.state == replay.bit_generator.state
+        assert lanes.all() if p else not lanes.any()
+        return
+    threshold = int(256 * p)
+    per_chunk = max(1, CHUNK_LANES // (64 * words))
+    expected = []
+    for row in range(0, rows, per_chunk):
+        k = min(per_chunk, rows - row)
+        raw = replay.bit_generator.random_raw(8 * words * k)
+        data = b"".join(int(v).to_bytes(8, "little") for v in raw)
+        hit = np.frombuffer(data, dtype=np.uint8) < threshold
+        for lane, byte in enumerate(data):
+            if byte == threshold:
+                hit[lane] = replay.random() < 256 * p - threshold
+        expected.append(hit)
+    assert np.array_equal(lanes, np.concatenate(expected))
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def block_trials(seg):
+    """Trials per block: 64 per word, words per row as documented."""
+    rows = seg.n_nodes - 2 + seg.edge_count
+    return 64 * max(1, min(BLOCK_BYTES // (8 * rows), CHUNK_LANES // 64))
+
+
 BLOCK_SEG = make_segment(40, 5)
-BLOCK = BLOCK_ELEMENTS // (BLOCK_SEG.n_nodes - 2 + BLOCK_SEG.edge_count)
+BLOCK = block_trials(BLOCK_SEG)
 
 
 def replay_verdicts(seg, p_node, p_link, trials, seed):
-    """Per-trial verdicts from the documented draw order, block by block."""
+    """Per-trial verdicts from the documented draw order, block by block:
+    node rows then link rows, each block a whole number of words."""
     rng = np.random.default_rng(seed)
-    block = BLOCK_ELEMENTS // (seg.n_nodes - 2 + seg.edge_count)
+    block = block_trials(seg)
     auth, link = [], []
     for start in range(0, trials, block):
         size = min(block, trials - start)
-        hits = rng.random((seg.n_nodes - 2, size)) < p_node
-        clean = rng.random((seg.edge_count, size)) >= p_link
+        words = -(-size // 64)
+        hits = _draw_hits(rng, p_node, seg.n_nodes - 2, words)
+        clean = ~_draw_hits(rng, p_link, seg.edge_count, words)
         a, l = _score_block(seg, hits, clean)
-        auth.append(a)
-        link.append(l)
+        auth.append(unpack(a, size))
+        link.append(unpack(l, size))
     return np.concatenate(auth), np.concatenate(link)
 
 
-@pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+@pytest.mark.parametrize(
+    "trials", [1, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+)
 def test_trials_across_block_boundaries(trials):
     stats = run_trials(BLOCK_SEG, 0.6, 0.45, trials, seed=17)
     done = [row[0] for row in stats.progress]
