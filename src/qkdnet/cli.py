@@ -15,9 +15,7 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
-from . import combinatorics, protocol, routes, security, simulator
+from . import combinatorics, protocol, routes, security
 from .errors import CapExceededError, InconsistencyError, ValidationError
 from .topology import make_segment
 
@@ -25,6 +23,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
 EXIT_INCONSISTENT = 4
+# Most grid points one sweep evaluates; the grid is built before any row.
+MAX_SWEEP_POINTS = 10**5
 
 
 def _sig(x: float | None) -> float | None:
@@ -75,6 +75,10 @@ def _sweep_grid(args) -> list[float]:
         )
     if args.points < 2:
         raise ValidationError(f"points must be >= 2, got {args.points}")
+    if args.points > MAX_SWEEP_POINTS:
+        raise ValidationError(f"points must be <= {MAX_SWEEP_POINTS}, got {args.points}")
+    import numpy as np
+
     if args.spacing == "log":
         if args.start <= 0:
             raise ValidationError("log spacing requires start > 0")
@@ -142,6 +146,8 @@ def cmd_routes(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulator
+
     seg = make_segment(args.n, args.c)
     stats = simulator.run_trials(seg, args.p_node, args.p_link, args.trials, args.seed)
     if args.progress_csv:
@@ -267,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=("p", "eps_auth", "eps_qkd", "c", "N"), required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--points", type=int, required=True)
+    p.add_argument("--points", type=int, required=True,
+                   help=f"grid points, 2..{MAX_SWEEP_POINTS}")
     p.add_argument("--spacing", choices=("log", "linear"), default="linear")
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--c", type=int, default=3)

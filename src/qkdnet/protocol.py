@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .routes import RoutingScheme
-from .simulator import CompromiseScenario
-from .topology import Link, NetworkSegment
+from .topology import CompromiseScenario, Link, NetworkSegment
 
 # Longest key, in bits (8 KiB); every route key and link key has key_len bits.
 MAX_KEY_LEN = 1 << 16

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .combinatorics import p_success_exact, regime_bound
 from .errors import CapExceededError, ValidationError, check_probability
 from .topology import NetworkSegment
@@ -127,11 +125,19 @@ def epsilon2_exact(seg: NetworkSegment, eps_qkd: float) -> float:
     Computed in floats by a Markov chain over the reachability of the
     trailing window of c nodes, newest node in bit 0: polynomial in N,
     with 2^c states.  A node with r reachable predecessors in the window
-    is missed with probability q^r and reached with probability
-    -expm1(r log q); both branches are formed directly, never as one minus
-    the other, so the result keeps full relative accuracy for q near 0
-    and near 1.  Against the exact rational window DP (the test oracle)
-    it agrees to 1e-12 relative.
+    is missed with probability q^r; the reached mass is formed as mass
+    minus missed mass, so each step conserves the mass up to one rounding
+    per state (a rounded 1 - q^r would instead move the same relative
+    error at every step).  The subtraction costs q^r / (1 - q^r) roundings
+    of the reached mass, which is large only for q near 1, where the
+    result, at least q^c with c <= MAX_WINDOW_DENSITY, is near 1 as well.
+    State 0 (nothing in the window reachable) is absorbing; its mass is
+    kept outside the array and summed with Neumaier's compensation, so
+    its rounding error does not grow with N.  The result agrees to 1e-12
+    relative with the exact rational window DP for N <= 40, q in [0, 1],
+    and with a 40-digit decimal run of the same chain for N <= 1e5 (the
+    tests gate both at 1e-12; the worst measured error at N = 1e5 is
+    5e-14).
 
     Time grows as N * 2^c.  Densities above MAX_WINDOW_DENSITY raise
     CapExceededError before any state array is allocated.
@@ -145,23 +151,33 @@ def epsilon2_exact(seg: NetworkSegment, eps_qkd: float) -> float:
         )
     if eps_qkd == 0:
         return 0.0
+    import numpy as np
+
     size = 1 << c
     half = size >> 1
     reach = np.zeros(1)
     for _ in range(c):  # popcount of every state
         reach = np.concatenate((reach, reach + 1))
     miss = eps_qkd ** reach
-    hit = -np.expm1(reach * math.log(eps_qkd))
     mass = np.zeros(size)
     mass[1] = 1.0  # only node 1 is reachable before the first step
+    dead = lost = 0.0  # Neumaier sum of state 0: dead + lost is the total
     for _ in range(seg.n_nodes - 1):
-        missed, reached = mass * miss, mass * hit
+        missed = mass * miss
+        reached = mass - missed
         # Shifting in the new node drops the oldest bit, which folds the
-        # upper half of the states onto the lower half.
+        # upper half of the states onto the lower half; missing the new
+        # node from state `half` (only the oldest node reachable) is the
+        # one move into state 0.
         mass = np.empty(size)
         mass[0::2] = missed[:half] + missed[half:]
         mass[1::2] = reached[:half] + reached[half:]
-    return float(mass[0::2].sum())
+        step = float(missed[half])
+        mass[0] = 0.0
+        total = dead + step
+        lost += (dead - total) + step if dead >= step else (step - total) + dead
+        dead = total
+    return dead + (lost + float(mass[2::2].sum()))
 
 
 def epsilon_qn(

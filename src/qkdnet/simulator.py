@@ -17,6 +17,11 @@ drawn in chunks of at most ``CHUNK_LANES`` lanes, so memory does not grow
 with ``trials``; only running counts carry over from one block to the
 next.  One sliding-window pass over the band scores both attacks.  See
 ``run_trials`` for the draw order.
+
+``node_attack_succeeds`` and ``link_attack_succeeds`` score one trial
+from explicit sets, by plain reachability.  ``run_trials`` does not call
+them; they stay as the scalar reference predicates that the tests check
+``_score_block`` and the protocol's adversary view against.
 """
 
 from __future__ import annotations
@@ -34,26 +39,6 @@ RNG_ALGORITHM = "numpy-pcg64"
 # the most lanes drawn at once; both fix the draw order, see run_trials.
 BLOCK_BYTES = 1 << 20
 CHUNK_LANES = 1 << 19
-
-
-@dataclass(frozen=True)
-class CompromiseScenario:
-    """One session's adversary holdings: interior nodes and links."""
-
-    compromised_nodes: frozenset[int]
-    intercepted_links: frozenset[Link]
-
-    @staticmethod
-    def of(seg: NetworkSegment, nodes=(), links=()) -> "CompromiseScenario":
-        nodes = frozenset(nodes)
-        links = frozenset(Link(*l) for l in links)
-        if not nodes <= set(seg.interior_nodes):
-            raise ValidationError(
-                f"compromised nodes must be interior (2..{seg.n_nodes - 1}), got {sorted(nodes)}"
-            )
-        if not links <= set(seg.edges()):
-            raise ValidationError("intercepted links must be edges of the segment")
-        return CompromiseScenario(nodes, links)
 
 
 @dataclass(frozen=True)

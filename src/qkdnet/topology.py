@@ -4,6 +4,9 @@ A segment is N serially ordered trusted nodes (1-based indices) where each
 node has unidirectional links to the next ``density`` nodes.  The adjacency
 matrix therefore carries ones on the first ``density`` superdiagonals and
 zeros elsewhere.
+
+A ``CompromiseScenario`` names the interior nodes and links an adversary
+holds in one session.
 """
 
 from __future__ import annotations
@@ -74,6 +77,26 @@ class NetworkSegment:
 
     def to_dict(self) -> dict:
         return {"n": self.n_nodes, "c": self.density}
+
+
+@dataclass(frozen=True)
+class CompromiseScenario:
+    """One session's adversary holdings: interior nodes and links."""
+
+    compromised_nodes: frozenset[int]
+    intercepted_links: frozenset[Link]
+
+    @staticmethod
+    def of(seg: NetworkSegment, nodes=(), links=()) -> "CompromiseScenario":
+        nodes = frozenset(nodes)
+        links = frozenset(Link(*l) for l in links)
+        if not nodes <= set(seg.interior_nodes):
+            raise ValidationError(
+                f"compromised nodes must be interior (2..{seg.n_nodes - 1}), got {sorted(nodes)}"
+            )
+        if not links <= set(seg.edges()):
+            raise ValidationError("intercepted links must be edges of the segment")
+        return CompromiseScenario(nodes, links)
 
 
 def make_segment(n_nodes: int, density: int) -> NetworkSegment:

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from rational_oracle import f_bruteforce
+from rational_oracle import f_bruteforce, f_generating_function
 
 from qkdnet import (
     build_routing_scheme,
@@ -17,7 +17,6 @@ from qkdnet import (
     epsilon1_approx,
     epsilon2_approx,
     epsilon2_exact,
-    f_generating_function,
     f_inclusion_exclusion,
     link_attack_succeeds,
     make_segment,

@@ -1,13 +1,21 @@
 import hashlib
 import json
+import os
+import resource
 import shlex
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import qkdnet
 from qkdnet.cli import main
+
+# The largest sweep --points, as documented in --help and the README.
+MAX_SWEEP_POINTS = 10**5
 
 
 def run_cli(capsys, *argv):
@@ -366,6 +374,34 @@ def test_sweep_infinite_range_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: start and stop must span a finite range")
+
+
+def test_sweep_points_above_max_exits_2():
+    # A grid of 10^9 points would take 7.45 GiB.  The child runs under an
+    # address-space limit, so a build that tries to allocate it fails
+    # there instead of exhausting the host's memory.
+    limit = 1_500_000_000
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qkdnet.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "qkdnet.cli", "sweep", "--param", "p",
+         "--start", "0", "--stop", "1", "--points", "1000000000"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: points must be <= {MAX_SWEEP_POINTS}, got 1000000000\n"
+
+
+def test_sweep_max_points_accepted(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--param", "c", "--start", "1", "--stop", "3",
+                           "--points", str(MAX_SWEEP_POINTS), "--n", "20")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["c", "1", "2", "3"]
 
 
 def test_demo_protocol_serial(capsys):

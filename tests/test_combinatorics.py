@@ -5,18 +5,20 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from rational_oracle import f_bruteforce
+from rational_oracle import (
+    f_bruteforce,
+    f_generating_function,
+    p_compromise_m,
+    p_success_given_m,
+)
 
 from qkdnet import (
     CapExceededError,
     ValidationError,
     binomial,
-    f_generating_function,
     f_inclusion_exclusion,
-    p_compromise_m,
     p_success_approx,
     p_success_exact,
-    p_success_given_m,
 )
 from qkdnet.combinatorics import max_run_length, regime_bound
 

@@ -1,12 +1,18 @@
-"""The float attack-probability kernels against the exact rational oracles,
-and the guards that keep their cost bounded."""
+"""The float attack-probability kernels against the exact rational oracles
+and, at large N, against 40-digit decimal runs of their chains; and the
+guards that keep their cost bounded."""
 
 import sys
 import time
 from fractions import Fraction
 
 import pytest
-from rational_oracle import epsilon2_rational, p_success_rational
+from rational_oracle import (
+    epsilon2_decimal,
+    epsilon2_rational,
+    p_success_decimal,
+    p_success_rational,
+)
 
 from qkdnet import CapExceededError, epsilon2_exact, make_segment, p_success_exact
 from qkdnet.cli import main
@@ -42,6 +48,25 @@ def test_epsilon2_exact_matches_rational_oracle(n):
         for q in GRID_P:
             got = epsilon2_exact(seg, q)
             assert_close(got, epsilon2_rational(n, c, q), (n, c, q))
+
+
+# N beyond the rational oracles' reach, where a naive float running sum
+# drifts linearly in N (2.5e-12 at N=1e5, c=5, p=1e-6).
+LONG_N = (10**3, 10**4, 10**5)
+
+
+@pytest.mark.parametrize("n", LONG_N)
+def test_p_success_exact_matches_decimal_chain(n):
+    for c, p in ((2, 1e-3), (3, 0.01), (5, 1e-6), (6, 0.1), (8, 0.05)):
+        want = Fraction(p_success_decimal(n, c, p))
+        assert_close(p_success_exact(n, c, p), want, (n, c, p))
+
+
+@pytest.mark.parametrize("n", LONG_N)
+def test_epsilon2_exact_matches_decimal_chain(n):
+    for c, q in ((1, 1e-6), (2, 1e-4), (3, 1e-3), (3, 0.05)):
+        want = Fraction(epsilon2_decimal(n, c, q))
+        assert_close(epsilon2_exact(make_segment(n, c), q), want, (n, c, q))
 
 
 def test_exact_kernels_scale_polynomially():
