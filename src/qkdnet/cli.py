@@ -198,6 +198,10 @@ def cmd_optimize_c(args) -> int:
 
 def cmd_demo_protocol(args) -> int:
     seg = make_segment(args.n, args.c)
+    # Refuse before the scheme is built: the route cap first, then the key
+    # length, the seed and the session's key material.
+    routes.check_route_cap(routes.cannacci_count(args.n, args.c), None)
+    protocol.check_session(seg, args.key_len, args.seed)
     scheme = routes.build_routing_scheme(seg)
     keys, transcript, final_key = protocol.run_session(
         seg, scheme, args.key_len, args.seed
@@ -212,13 +216,14 @@ def cmd_demo_protocol(args) -> int:
 
     print(f"segment n={args.n} c={args.c}: {scheme.route_count} routes, "
           f"{seg.edge_count} links, key_len={args.key_len}")
+    labels = [f"K{i}" for i in range(scheme.route_count + 1)]
     for i, (link, ciphertext) in enumerate(messages, start=1):
         bundle = scheme.per_link_bundles[link]
         nbits = len(bundle) * args.key_len
         digest = hashlib.blake2b(
             ciphertext.to_bytes(max((nbits + 7) // 8, 1), "big"), digest_size=8
         ).hexdigest()
-        ids = "K" + " K".join(map(str, bundle))
+        ids = " ".join(map(labels.__getitem__, bundle))
         print(f"message {i}: link {link.src}->{link.dst}  ({ids}) XOR k_{link.src}{link.dst}  digest={digest}")
 
     last = seg.n_nodes
@@ -313,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--key-len", type=int, default=128,
                    help=f"bits per key, 1..{protocol.MAX_KEY_LEN}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="key seed, >= 0")
     p.add_argument("--corrupt", action="store_true",
                    help="flip one ciphertext bit to demonstrate FAIL detection")
     p.add_argument("--json-out", type=str, default=None,

@@ -7,7 +7,18 @@ encrypted by XOR with a keystream expanded from the link's QKD key.
 
 Keys and ciphertexts are modeled as Python integers of known bit length.
 The keystream expansion is a keyed-hash counter-mode stub, not a security
-claim: the model assumes sufficient key material per link.
+claim: the model assumes sufficient key material per link.  BLAKE2b is
+keyed once per link and its keyed state copied for each counter block,
+which gives the same digests as keying every block.
+
+When ``key_len % 8 == 0`` (the default 128 bits), messages are packed and
+split on bytes: each route key is converted to bytes once and a bundle is
+one ``b"".join``.  Other lengths use the shift-or ``_concat_keys`` and
+``_split_keys``; both paths give the same integers.
+
+A session's messages carry sum(len(bundle)) * key_len bits, which grows
+with the route count; ``check_session`` refuses more than
+``MAX_SESSION_BITS`` of them before anything is allocated.
 """
 
 from __future__ import annotations
@@ -16,12 +27,16 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .errors import ValidationError
-from .routes import RoutingScheme
+from .errors import CapExceededError, ValidationError
+from .routes import RoutingScheme, bundle_id_total
 from .topology import CompromiseScenario, Link, NetworkSegment
 
 # Longest key, in bits (8 KiB); every route key and link key has key_len bits.
 MAX_KEY_LEN = 1 << 16
+# Most key material one session's messages may carry, in bits (128 MiB):
+# the total bundle size times key_len.  The largest benchmark session,
+# N = 20, c = 2 at 128 bits, carries 12.0 Mbit.
+MAX_SESSION_BITS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -50,6 +65,9 @@ class AdversaryView:
 def _keystream(link_key: int, key_len: int, nbits: int) -> int:
     """Counter-mode expansion of a link key into nbits of keystream.
 
+    Block i is the keyed BLAKE2b digest (RFC 7693) of the 8-byte big-endian
+    counter i.  BLAKE2b is keyed once; each block hashes a copy of the
+    keyed state, which gives the same digest as keying it afresh.
     BLAKE2b takes keys of at most 64 bytes.  As in HMAC (RFC 2104), a
     longer key is first hashed to 64 bytes, so every bit of it reaches the
     keystream; shorter keys are used unchanged.
@@ -57,15 +75,15 @@ def _keystream(link_key: int, key_len: int, nbits: int) -> int:
     key_bytes = link_key.to_bytes(max((key_len + 7) // 8, 1), "big")
     if len(key_bytes) > 64:
         key_bytes = hashlib.blake2b(key_bytes).digest()
+    keyed = hashlib.blake2b(key=key_bytes)
+    blocks = -(-nbits // 512)
     chunks = []
-    counter = 0
-    while len(chunks) * 64 * 8 < nbits:
-        chunks.append(
-            hashlib.blake2b(counter.to_bytes(8, "big"), key=key_bytes).digest()
-        )
-        counter += 1
+    for counter in range(blocks):
+        block = keyed.copy()
+        block.update(counter.to_bytes(8, "big"))
+        chunks.append(block.digest())
     stream = int.from_bytes(b"".join(chunks), "big")
-    return stream >> (len(chunks) * 64 * 8 - nbits)
+    return stream >> (blocks * 512 - nbits)
 
 
 def _concat_keys(keys: list[int], key_len: int) -> int:
@@ -103,25 +121,74 @@ def _split_keys(value: int, count: int, key_len: int) -> list[int]:
     return parts[len(parts) - count :]
 
 
+def _join_key_bytes(key_bytes: list[bytes], bundle: tuple[int, ...]) -> int:
+    """The bundle's keys packed as by ``_concat_keys``, from byte-aligned
+    keys; ``key_bytes[i]`` is route key i, so index 0 is unused."""
+    return int.from_bytes(b"".join(map(key_bytes.__getitem__, bundle)), "big")
+
+
+def _split_key_bytes(value: int, count: int, key_bytes: int) -> list[int]:
+    """The inverse of ``_join_key_bytes`` for a value below
+    2^(8 * count * key_bytes): its keys, most significant first."""
+    data = value.to_bytes(count * key_bytes, "big")
+    return [
+        int.from_bytes(data[i : i + key_bytes], "big")
+        for i in range(0, len(data), key_bytes)
+    ]
+
+
+def check_session(seg: NetworkSegment, key_len: int, seed: int) -> None:
+    """Refuse a session before anything is allocated.
+
+    ``key_len`` outside [1, MAX_KEY_LEN] and a negative ``seed`` are
+    ValidationErrors (``random.Random`` seeds with abs(seed), so -s would
+    give the keys of s).  Messages carrying more than MAX_SESSION_BITS
+    bits in all, the exact total bundle size times ``key_len``, are a
+    CapExceededError.
+    """
+    if not 1 <= key_len <= MAX_KEY_LEN:
+        raise ValidationError(f"key_len must be in [1, {MAX_KEY_LEN}], got {key_len}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    bits = bundle_id_total(seg) * key_len
+    if bits > MAX_SESSION_BITS:
+        raise CapExceededError(
+            f"session key material {bits} bits exceeds cap {MAX_SESSION_BITS}"
+        )
+
+
 def run_session(
     seg: NetworkSegment, scheme: RoutingScheme, key_len: int, seed: int
 ) -> tuple[SessionKeys, SessionTranscript, int]:
     """Execute one key-transport session; returns keys, transcript, and the
-    final key (XOR of all route keys)."""
+    final key (XOR of all route keys).
+
+    Refuses what ``check_session`` refuses, the material cap included.
+    When ``key_len % 8 == 0`` each route key is converted to bytes once
+    and every bundle is packed by joining bytes; otherwise by
+    ``_concat_keys``.  Both give the same plaintext integers.
+    """
     if scheme.segment != seg:
         raise ValidationError("routing scheme was built for a different segment")
-    if not 1 <= key_len <= MAX_KEY_LEN:
-        raise ValidationError(f"key_len must be in [1, {MAX_KEY_LEN}], got {key_len}")
+    check_session(seg, key_len, seed)
     rng = random.Random(seed)
     link_keys = {link: rng.getrandbits(key_len) for link in seg.edges()}
     route_keys = tuple(rng.getrandbits(key_len) for _ in range(scheme.route_count))
 
+    if key_len % 8:
+        def pack(bundle):
+            return _concat_keys([route_keys[i - 1] for i in bundle], key_len)
+    else:
+        kb = key_len // 8
+        key_bytes = [b"", *(key.to_bytes(kb, "big") for key in route_keys)]
+        def pack(bundle):
+            return _join_key_bytes(key_bytes, bundle)
+
     messages = []
     for link in seg.edges():
         bundle = scheme.per_link_bundles[link]
-        plaintext = _concat_keys([route_keys[i - 1] for i in bundle], key_len)
         nbits = len(bundle) * key_len
-        ciphertext = plaintext ^ _keystream(link_keys[link], key_len, nbits)
+        ciphertext = pack(bundle) ^ _keystream(link_keys[link], key_len, nbits)
         messages.append((link, ciphertext))
 
     final_key = 0
@@ -141,9 +208,21 @@ def reconstruct_at_endpoint(
     """Recover the final key at node N from the messages addressed to it.
 
     The in-link bundles of node N partition the route indices, so the
-    endpoint's own link keys suffice.
+    endpoint's own link keys suffice.  A missing link key, a ciphertext of
+    the wrong bit length or route ids left uncovered are ValidationErrors.
+    When ``key_len % 8 == 0`` each plaintext is split on bytes; otherwise
+    by ``_split_keys``.
     """
     key_len = transcript.key_len
+    if not 1 <= key_len <= MAX_KEY_LEN:
+        raise ValidationError(f"key_len must be in [1, {MAX_KEY_LEN}], got {key_len}")
+    if key_len % 8:
+        def split(plaintext, count):
+            return _split_keys(plaintext, count, key_len)
+    else:
+        def split(plaintext, count):
+            return _split_key_bytes(plaintext, count, key_len // 8)
+
     recovered: dict[int, int] = {}
     for link, ciphertext in transcript.messages:
         if link.dst != seg.n_nodes:
@@ -155,8 +234,7 @@ def reconstruct_at_endpoint(
         if ciphertext < 0 or ciphertext >> nbits:
             raise ValidationError(f"ciphertext on {link} has wrong bit length")
         plaintext = ciphertext ^ _keystream(link_keys_of_last_node[link], key_len, nbits)
-        for idx, key in zip(bundle, _split_keys(plaintext, len(bundle), key_len)):
-            recovered[idx] = key
+        recovered.update(zip(bundle, split(plaintext, len(bundle))))
     if set(recovered) != set(range(1, scheme.route_count + 1)):
         raise ValidationError("transcript does not cover every route key")
     final_key = 0

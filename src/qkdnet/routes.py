@@ -67,7 +67,20 @@ def _composition_counts(distance: int, max_part: int) -> list[int]:
     return counts
 
 
-def _check_route_cap(count: int, cap: int | None) -> None:
+def bundle_id_total(seg: NetworkSegment) -> int:
+    """Exact total bundle size, sum(len(bundle)), of the segment's routing
+    scheme, without building it.
+
+    A route through link (a, b) is a prefix 1 -> ... -> a, the hop and a
+    tail b -> ... -> N, so the link carries counts[a - 1] * counts[N - b]
+    route ids.
+    """
+    n = seg.n_nodes
+    counts = _composition_counts(n - 1, seg.density)
+    return sum(counts[a - 1] * counts[n - b] for a, b in seg.edges())
+
+
+def check_route_cap(count: int, cap: int | None) -> None:
     """Refuse to materialize ``count`` routes when that exceeds ``cap``.
 
     ``cap`` defaults to 2^20, overridable via the QKDNET_ROUTE_CAP
@@ -89,10 +102,10 @@ def enumerate_routes(seg: NetworkSegment, cap: int | None = None) -> RouteSet:
     """Materialize every route in lexicographic order by node sequence.
 
     Refuses with CapExceededError when the exact count exceeds ``cap``;
-    see ``_check_route_cap``.
+    see ``check_route_cap``.
     """
     count = cannacci_count(seg.n_nodes, seg.density)
-    _check_route_cap(count, cap)
+    check_route_cap(count, cap)
     # Depth-first with an explicit stack, so route length is not bounded
     # by the recursion limit; stack[k] iterates the successors of prefix[k].
     last, c = seg.n_nodes, seg.density
@@ -131,11 +144,11 @@ def build_routing_scheme(seg: NetworkSegment, cap: int | None = None) -> Routing
     bundle size.
 
     Refuses with CapExceededError when the route count exceeds ``cap``,
-    the same check as ``enumerate_routes`` (see ``_check_route_cap``).
+    the same check as ``enumerate_routes`` (see ``check_route_cap``).
     """
     n, c = seg.n_nodes, seg.density
     counts = _composition_counts(n - 1, c)
-    _check_route_cap(counts[-1], cap)
+    check_route_cap(counts[-1], cap)
     tail = [0] + counts[::-1]  # tail[v] = counts[n - v]
     # first[v]: the first route id of each prefix 1 -> ... -> v
     first: list[list[int]] = [[] for _ in range(n + 1)]

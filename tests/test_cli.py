@@ -320,6 +320,27 @@ def test_demo_protocol_pinned_bytes(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEMO_STDOUT[args]
 
 
+# sha256 of stdout, recorded before messages were packed and split on bytes:
+# a byte-aligned length above 512 bits (pre-hashed link keys), and a
+# corrupted session.
+PINNED_DEMO_LONG_KEY_STDOUT = "eb5fbc9a4c4cca9dd14aa98250ec54261d38fda9d52b6a5d08990c84bf220ef0"
+PINNED_DEMO_CORRUPT_STDOUT = "1bceb38f28c0318f06e213c8aea290df41051d78cdb54a1180c0cdef2e267499"
+
+
+def test_demo_protocol_pinned_bytes_long_key_and_corrupt(capsys):
+    code, out, _ = run_cli(
+        capsys, "demo-protocol", "--n", "13", "--c", "4", "--key-len", "1024", "--seed", "11"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEMO_LONG_KEY_STDOUT
+    code, out, _ = run_cli(
+        capsys, "demo-protocol", "--n", "12", "--c", "4", "--seed", "2", "--corrupt"
+    )
+    assert code == 4
+    assert out.endswith("endpoint reconstruction: FAIL\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEMO_CORRUPT_STDOUT
+
+
 # sha256 recorded before the routing scheme was built from prefix ranks.
 PINNED_SCHEME_STDOUT = "9f53853dbf2721e978d447469f09639f44f4eee722cce4173880ad2ef9dc2127"
 PINNED_DEMO_JSON_OUT = "c940fd4d6ecf3757409ddff325e8c67722ecbff68f7ac4b6df88e0f12f263be2"
@@ -352,6 +373,37 @@ def test_demo_protocol_key_len_out_of_range_exits_2(capsys, key_len):
     assert code == 2
     assert out == ""
     assert "key_len must be in [1, 65536]" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("--n", "30", "--c", "2"), ("--n", "20", "--c", "2", "--key-len", "65536")]
+)
+def test_demo_protocol_material_cap_exits_3_before_building(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("routing scheme built past the material cap")
+
+    monkeypatch.setattr("qkdnet.routes.build_routing_scheme", refuse)
+    code, out, err = run_cli(capsys, "demo-protocol", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: session key material ")
+    assert "exceeds cap 1073741824" in err
+
+
+def test_demo_protocol_route_cap_fires_before_material_cap(capsys):
+    # 102,334,155 routes: both caps are exceeded, the route cap is reported
+    code, out, err = run_cli(capsys, "demo-protocol", "--n", "40", "--c", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "error: route count 102334155 exceeds materialization cap 1048576\n"
+
+
+def test_demo_protocol_negative_seed_exits_2(capsys):
+    # random.Random(-3) gives the keys of seed 3, so -3 is refused
+    code, out, err = run_cli(capsys, "demo-protocol", "--n", "6", "--c", "2", "--seed", "-3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -3\n"
 
 
 def test_demo_protocol_longest_key_len(capsys):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from qkdnet import (
+    CapExceededError,
     CompromiseScenario,
     Link,
     ValidationError,
@@ -16,7 +17,14 @@ from qkdnet import (
     run_session,
     reconstruct_at_endpoint,
 )
-from qkdnet.protocol import SessionTranscript, _concat_keys, _keystream, _split_keys
+from qkdnet.protocol import (
+    SessionTranscript,
+    _concat_keys,
+    _join_key_bytes,
+    _keystream,
+    _split_key_bytes,
+    _split_keys,
+)
 
 
 def session(n, c, key_len=32, seed=11):
@@ -54,7 +62,8 @@ def test_final_key_is_xor_of_route_keys():
     assert acc == final_key
 
 
-@pytest.mark.parametrize("key_len", [1, 8, 128])
+# byte-aligned lengths take the byte path, the others the shift-or path
+@pytest.mark.parametrize("key_len", [1, 7, 8, 9, 127, 128, 129, 1024])
 @pytest.mark.parametrize("n,c", [(n, c) for n in range(3, 10) for c in range(1, min(n - 1, 4))])
 def test_round_trip_all_small_segments(n, c, key_len):
     seg, scheme, keys, transcript, final_key = session(n, c, key_len=key_len, seed=n * 100 + c)
@@ -209,3 +218,84 @@ def test_key_packing_matches_shift_or_reference(key_len):
         assert _split_keys(noisy, count, key_len) == reference_split_keys(
             noisy, count, key_len
         )
+
+
+def gapped_bundles(route_count, rng):
+    """Ascending id tuples with gaps, as the bundles of inner links have."""
+    yield (1,)
+    yield (route_count,)
+    yield (1, route_count)
+    yield tuple(range(1, route_count + 1, 3))
+    for _ in range(20):
+        size = rng.randrange(1, route_count + 1)
+        yield tuple(sorted(rng.sample(range(1, route_count + 1), size)))
+
+
+@pytest.mark.parametrize("key_len", [8, 16, 64, 128, 1024])
+def test_byte_packing_matches_shift_or_packing(key_len):
+    # The byte path of run_session and reconstruct_at_endpoint must give
+    # the integers of _concat_keys and _split_keys.
+    rng = random.Random(key_len)
+    scheme = build_routing_scheme(make_segment(12, 4))
+    route_keys = [rng.getrandbits(key_len) for _ in range(scheme.route_count)]
+    key_bytes = [b"", *(key.to_bytes(key_len // 8, "big") for key in route_keys)]
+    bundles = [*scheme.per_link_bundles.values(), *gapped_bundles(scheme.route_count, rng)]
+    for bundle in bundles:
+        keys = [route_keys[i - 1] for i in bundle]
+        packed = _join_key_bytes(key_bytes, bundle)
+        assert packed == _concat_keys(keys, key_len) == reference_concat_keys(keys, key_len)
+        assert _split_key_bytes(packed, len(bundle), key_len // 8) == keys
+
+
+@pytest.mark.parametrize("key_len", [256, 512, 1024])
+def test_keystream_matches_keyed_blake2b_blocks(key_len):
+    # Block i is blake2b(counter i, key=link key), the key pre-hashed when
+    # longer than 64 bytes; the keystream is the first nbits of the blocks.
+    rng = random.Random(key_len)
+    link_key = rng.getrandbits(key_len) | 1 << (key_len - 1)
+    key = link_key.to_bytes(key_len // 8, "big")
+    if len(key) > 64:
+        key = hashlib.blake2b(key).digest()
+    nbits = 3 * 512 + 40
+    blocks = b"".join(
+        hashlib.blake2b(counter.to_bytes(8, "big"), key=key).digest() for counter in range(4)
+    )
+    assert _keystream(link_key, key_len, nbits) == int.from_bytes(blocks, "big") >> (512 - 40)
+
+
+@pytest.mark.parametrize("key_len", [1, 8])
+def test_reconstruct_rejects_wrong_bit_length(key_len):
+    seg, scheme, keys, transcript, final_key = session(6, 2, key_len=key_len)
+    messages = list(transcript.messages)
+    link, ciphertext = messages[-1]
+    messages[-1] = (link, ciphertext | 1 << (len(scheme.per_link_bundles[link]) * key_len))
+    corrupted = SessionTranscript(messages=tuple(messages), key_len=key_len)
+    with pytest.raises(ValidationError, match="wrong bit length"):
+        reconstruct_at_endpoint(seg, scheme, corrupted, endpoint_keys(seg, keys))
+
+
+@pytest.mark.parametrize("key_len", [1, 8])
+def test_reconstruct_rejects_uncovered_route_ids(key_len):
+    seg, scheme, keys, transcript, final_key = session(6, 2, key_len=key_len)
+    messages = tuple(m for m in transcript.messages if m[0] != Link(5, 6))
+    partial = SessionTranscript(messages=messages, key_len=key_len)
+    with pytest.raises(ValidationError, match="does not cover every route key"):
+        reconstruct_at_endpoint(seg, scheme, partial, endpoint_keys(seg, keys))
+
+
+def test_negative_seed_rejected():
+    seg = make_segment(6, 2)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -3"):
+        run_session(seg, build_routing_scheme(seg), 128, -3)
+
+
+def test_session_material_cap(monkeypatch):
+    # The cap is lowered so that a session past it stays small even if the
+    # check were missing.
+    seg = make_segment(6, 2)
+    scheme = build_routing_scheme(seg)
+    ids = sum(map(len, scheme.per_link_bundles.values()))
+    monkeypatch.setattr("qkdnet.protocol.MAX_SESSION_BITS", ids * 8)
+    run_session(seg, scheme, 8, 0)
+    with pytest.raises(CapExceededError, match=f"session key material {ids * 9} bits"):
+        run_session(seg, scheme, 9, 0)

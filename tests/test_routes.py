@@ -15,6 +15,7 @@ from qkdnet import (
     make_segment,
     min_link_cut_size,
 )
+from qkdnet.routes import bundle_id_total
 
 
 def brute_route_count(n, c):
@@ -107,6 +108,20 @@ def test_routing_scheme_matches_per_hop_reference(n, c):
     scheme = build_routing_scheme(seg)
     assert scheme.route_count == rs.count
     assert list(scheme.per_link_bundles.items()) == list(reference_scheme(rs).items())
+
+
+@pytest.mark.parametrize(
+    "n,c", [(n, c) for n in range(3, 15) for c in range(1, n)] + list(DEMO_SEGMENTS)
+)
+def test_bundle_id_total_matches_built_scheme(n, c):
+    seg = make_segment(n, c)
+    scheme = build_routing_scheme(seg)
+    assert bundle_id_total(seg) == sum(map(len, scheme.per_link_bundles.values()))
+
+
+def test_bundle_id_total_beyond_built_schemes():
+    assert bundle_id_total(make_segment(24, 2)) == 777_432
+    assert bundle_id_total(make_segment(30, 2)) == 17_562_870
 
 
 def test_routing_scheme_cap():
