@@ -259,14 +259,7 @@ def _write_transcript_json(path, seg, scheme, transcript) -> None:
     _write_file(path, json.dumps(payload, indent=2) + "\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qkdnet",
-        description="Security analysis of banded trusted-node QKD network segments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="eps1/eps2/eps_qn security report as JSON")
+def _add_analyze(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--eps-auth", type=float, required=True)
@@ -274,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("approx", "exact"), default="approx")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("sweep", help="parameter sweep as CSV on stdout")
+
+def _add_sweep(p: argparse.ArgumentParser) -> None:
     p.add_argument("--param", choices=("p", "eps_auth", "eps_qkd", "c", "N"), required=True)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
@@ -286,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.01)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("routes", help="route count/enumeration/scheme as JSON")
+
+def _add_routes(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     mode = p.add_mutually_exclusive_group()
@@ -298,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="route materialization cap (default 2^20 or QKDNET_ROUTE_CAP)")
     p.set_defaults(func=cmd_routes)
 
-    p = sub.add_parser("simulate", help="Monte Carlo attack trials as JSON")
+
+def _add_simulate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--p-node", type=float, default=0.0)
@@ -309,11 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-batch running estimates to this file")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("optimize-c", help="optimal connection density as JSON")
+
+def _add_optimize_c(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_optimize_c)
 
-    p = sub.add_parser("demo-protocol", help="run one key-transport session")
+
+def _add_demo_protocol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--key-len", type=int, default=128,
@@ -325,12 +323,72 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the transcript as JSON to this file")
     p.set_defaults(func=cmd_demo_protocol)
 
+
+# Subcommand name -> (help, function adding its arguments), in the order
+# --help lists them.
+SUBCOMMANDS = {
+    "analyze": ("eps1/eps2/eps_qn security report as JSON", _add_analyze),
+    "sweep": ("parameter sweep as CSV on stdout", _add_sweep),
+    "routes": ("route count/enumeration/scheme as JSON", _add_routes),
+    "simulate": ("Monte Carlo attack trials as JSON", _add_simulate),
+    "optimize-c": ("optimal connection density as JSON", _add_optimize_c),
+    "demo-protocol": ("run one key-transport session", _add_demo_protocol),
+}
+
+
+class _TopLevelError(Exception):
+    """An error of a one-subcommand parser's top level, whose usage line
+    would list only that subcommand."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _TopLevelError(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qkdnet`` argument parser.
+
+    With no ``command``, every subcommand is added.  With a name from
+    SUBCOMMANDS, only that subcommand is: its own parser, help and errors
+    are the same as in the full parser, but an error at the top level
+    (such as unrecognized trailing arguments) raises ``_TopLevelError``
+    instead of printing a usage line that lists one subcommand, so that
+    the caller can parse again with the full parser.
+    """
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+        prog="qkdnet",
+        description="Security analysis of banded trusted-node QKD network segments.",
+    )
+    # Subparsers report their own errors in either case.
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser
+    )
+    for name in SUBCOMMANDS if command is None else (command,):
+        help_text, add_arguments = SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in SUBCOMMANDS:
+        try:
+            return build_parser(argv[0]).parse_args(argv)
+        except _TopLevelError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``qkdnet`` command; returns its exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  When its first word names a
+    subcommand, only that subcommand's parser is built.  Everything else
+    (no arguments, an option or ``--`` first, an unknown name), and any
+    top-level error of the one-subcommand parser, is parsed by the full
+    parser, so help, error messages and exit codes are the same either way.
+    """
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -35,7 +35,11 @@ from .topology import CompromiseScenario, Link, NetworkSegment
 MAX_KEY_LEN = 1 << 16
 # Most key material one session's messages may carry, in bits (128 MiB):
 # the total bundle size times key_len.  The largest benchmark session,
-# N = 20, c = 2 at 128 bits, carries 12.0 Mbit.
+# N = 20, c = 2 at 128 bits, carries 12.0 Mbit.  The cap bounds message
+# bits, not memory: with 128-bit keys, building the scheme and running the
+# session peaked (tracemalloc) at 6.4 MB at (20, 2) and 18.3 MB at (22, 2),
+# about 4.2 bytes per message byte, mostly the scheme's int ids, so a
+# session just under the cap would peak near 0.56 GB (extrapolated).
 MAX_SESSION_BITS = 1 << 30
 
 

@@ -62,8 +62,10 @@ def _composition_counts(distance: int, max_part: int) -> list[int]:
     for d = 0..distance."""
     counts = [0] * (distance + 1)
     counts[0] = 1
+    window = 1  # sum(counts[max(d - max_part, 0):d]) at each step d
     for d in range(1, distance + 1):
-        counts[d] = sum(counts[max(d - max_part, 0):d])
+        counts[d] = window
+        window += window if d < max_part else window - counts[d - max_part]
     return counts
 
 

@@ -215,7 +215,11 @@ def optimal_c_root(n_nodes: int, tol: float = ROOT_TOL) -> float:
     """Real root c* of (N-c-1) ln(N-c-1) = c in [1, N-2], by bisection.
 
     The left side decreases and the right side increases in c, so the root
-    is unique whenever the endpoints bracket a sign change.
+    is unique, and [1, N-2] brackets it for every N >= 4: the difference
+    is (N-2) ln(N-2) - 1 > 0 at c = 1 and -(N-2) < 0 at c = N-2.  Bisection
+    stops at width ``tol`` or, once the root is large enough that adjacent
+    floats are further apart than ``tol``, when the bracket can shrink no
+    more.
     """
     if n_nodes < 4:
         raise ValidationError(f"N must be >= 4, got {n_nodes}")
@@ -225,12 +229,10 @@ def optimal_c_root(n_nodes: int, tol: float = ROOT_TOL) -> float:
         return rem * math.log(rem) - c
 
     lo, hi = 1.0, float(n_nodes - 2)
-    if g(lo) < 0 or g(hi) > 0:
-        raise ValidationError(
-            f"no sign change of (N-c-1)ln(N-c-1) - c on [1, {n_nodes - 2}] for N={n_nodes}"
-        )
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:  # adjacent floats: tol is below their spacing
+            break
         if g(mid) > 0:
             lo = mid
         else:
@@ -267,13 +269,18 @@ def hash_reduction_factor(n_nodes: int, c: int) -> float:
 
 def optimal_c_integer(n_nodes: int) -> int:
     """Integer density in [1, N-3] maximizing the hash-reduction factor;
-    ties break toward smaller c (fewer QKD links for equal security)."""
+    ties break toward smaller c (fewer QKD links for equal security).
+
+    f(c) = c ln(N-c-1) is strictly concave on [1, N-3], since
+    f''(c) = -2/(N-c-1) - c/(N-c-1)^2 < 0, and f'(c) = 0 is the root
+    equation (N-c-1) ln(N-c-1) = c.  The integer argmax is therefore
+    floor or ceil of optimal_c_root; one more integer on each side absorbs
+    the bisection tolerance.
+    """
     if n_nodes < 5:
         raise ValidationError(f"N must be >= 5, got {n_nodes}")
-    best_c = 1
-    best_factor = hash_reduction_factor(n_nodes, 1)
-    for c in range(2, n_nodes - 2):
-        factor = hash_reduction_factor(n_nodes, c)
-        if factor > best_factor:
-            best_c, best_factor = c, factor
-    return best_c
+    root = optimal_c_root(n_nodes)
+    lo = max(1, math.floor(root) - 1)
+    hi = min(n_nodes - 3, math.ceil(root) + 1)
+    # max keeps the first, so the smallest, c among equal factors
+    return max(range(lo, hi + 1), key=lambda c: hash_reduction_factor(n_nodes, c))

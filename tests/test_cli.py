@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import jsonschema
 import pytest
 
 import qkdnet
-from qkdnet.cli import main
+from qkdnet.cli import SUBCOMMANDS, build_parser, main
 
 # The largest sweep --points, as documented in --help and the README.
 MAX_SWEEP_POINTS = 10**5
@@ -22,6 +23,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_fresh(*argv, **kwargs):
+    """Run ``python -m qkdnet.cli *argv`` in a fresh interpreter that imports
+    this checkout's qkdnet; a command that hangs fails after 60 s."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qkdnet.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "qkdnet.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60, **kwargs,
+    )
 
 
 def load_schema(name):
@@ -282,6 +297,19 @@ def test_optimize_c(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", [10**7, 10**12])
+def test_optimize_c_large_n_returns(n):
+    # Once adjacent floats near the root are more than the bisection
+    # tolerance apart, a width test alone never ends; a fresh process
+    # makes such a regression fail instead of hanging the suite.
+    proc = run_cli_fresh("optimize-c", "--n", str(n))
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    jsonschema.validate(payload, load_schema("optimize_c.schema.json"))
+    assert payload["n"] == n
+    assert abs(payload["c_integer"] - payload["c_root"]) <= 2
+
+
 def test_optimize_c_factor_baseline(capsys):
     code, out, _ = run_cli(capsys, "optimize-c", "--n", "6")
     assert code == 0
@@ -433,15 +461,8 @@ def test_sweep_points_above_max_exits_2():
     # address-space limit, so a build that tries to allocate it fails
     # there instead of exhausting the host's memory.
     limit = 1_500_000_000
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(qkdnet.__file__).resolve().parents[1])]
-        + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "qkdnet.cli", "sweep", "--param", "p",
-         "--start", "0", "--stop", "1", "--points", "1000000000"],
-        env=env, capture_output=True, text=True, timeout=60,
+    proc = run_cli_fresh(
+        "sweep", "--param", "p", "--start", "0", "--stop", "1", "--points", "1000000000",
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
     )
     assert proc.returncode == 2, proc.stderr
@@ -469,3 +490,64 @@ def test_demo_protocol_corrupt(capsys):
     )
     assert code == 4
     assert "FAIL" in out
+
+
+ANALYZE = ["analyze", "--n", "20", "--c", "3", "--eps-auth", "1e-3", "--eps-qkd", "1e-3"]
+PARSER_CASES = [
+    [], ["-h"], ["--help"], ["-h", "analyze"], ["--"], ["--", "analyze"],
+    ["bogus"], ["analyz"], ["-"], ["-1"],
+    *([name, "-h"] for name in SUBCOMMANDS),
+    [*ANALYZE, "extra"],
+    ANALYZE[:-2],
+    ["analyze", "--n", "twenty", *ANALYZE[3:]],
+    [*ANALYZE, "--mode", "fast"],
+    [*ANALYZE, "--mo", "exact"],
+    ["routes", "--n", "6", "--c", "2", "--scheme", "--edges"],
+    ["optimize-c", "--n", "20", "--nn", "3"],
+    ["analyze", "--", *ANALYZE[1:]],
+]
+
+
+def outcome(run, argv, capsys):
+    try:
+        result = ("returned", run(argv))
+    except SystemExit as exc:
+        result = ("exited", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+def full_parser_main(argv):
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_main_matches_full_parser(capsys, argv):
+    expected = outcome(full_parser_main, list(argv), capsys)
+    assert outcome(main, list(argv), capsys) == expected
+
+
+def test_main_builds_only_the_invoked_subcommand(capsys, monkeypatch):
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting_add_argument(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting_add_argument)
+    assert main(["optimize-c", "--n", "20"]) == 0
+    help_option = ("-h", "--help")
+    assert calls == [help_option, help_option, ("--n",)]
+
+    own = {}
+    for name in SUBCOMMANDS:
+        calls.clear()
+        build_parser(name)
+        assert calls[:2] == [help_option, help_option]
+        own[name] = calls[1:]
+        assert len(own[name]) > 1, name
+    calls.clear()
+    build_parser()
+    assert calls == [help_option] + [args for name in SUBCOMMANDS for args in own[name]]

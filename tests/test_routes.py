@@ -15,7 +15,7 @@ from qkdnet import (
     make_segment,
     min_link_cut_size,
 )
-from qkdnet.routes import bundle_id_total
+from qkdnet.routes import _composition_counts, bundle_id_total
 
 
 def brute_route_count(n, c):
@@ -43,6 +43,22 @@ def test_count_matches_bruteforce():
     for n in range(3, 12):
         for c in range(1, n):
             assert cannacci_count(n, c) == brute_route_count(n, c)
+
+
+def slice_sum_counts(distance, max_part):
+    """counts[d] as the sum of the previous max_part counts, one slice per d."""
+    counts = [1] + [0] * distance
+    for d in range(1, distance + 1):
+        counts[d] = sum(counts[max(d - max_part, 0):d])
+    return counts
+
+
+def test_composition_counts_match_slice_sums():
+    for n in range(2, 61):
+        for c in range(1, n):
+            assert _composition_counts(n - 1, c) == slice_sum_counts(n - 1, c), (n, c)
+    for n, c in ((400, 8), (2000, 1), (2000, 1999)):
+        assert _composition_counts(n - 1, c) == slice_sum_counts(n - 1, c), (n, c)
 
 
 @given(n=st.integers(13, 30), c=st.integers(1, 6))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,16 @@ def test_hash_reduction_factor():
         hash_reduction_factor(20, 18)
 
 
+def scan_optimal_c(n):
+    """Every integer density scanned in order; the first strict maximum wins."""
+    best_c, best_factor = 1, hash_reduction_factor(n, 1)
+    for c in range(2, n - 2):
+        factor = hash_reduction_factor(n, c)
+        if factor > best_factor:
+            best_c, best_factor = c, factor
+    return best_c
+
+
 def test_optimal_c_integer_matches_scan():
     for n in (5, 8, 20, 50):
         best = min(
@@ -205,3 +216,29 @@ def test_optimal_c_integer_matches_scan():
         assert optimal_c_integer(n) == best
         assert 1 <= optimal_c_integer(n) < n - 2
     assert all(hash_reduction_factor(12, c) > 0 for c in range(1, 10))
+    rng = random.Random(14)
+    for n in [*range(5, 1001), *rng.sample(range(1001, 10**5 + 1), 8), 10**5]:
+        assert optimal_c_integer(n) == scan_optimal_c(n), n
+
+
+def bisect_to_absolute_tol(n, tol=1e-9):
+    """optimal_c_root's loop with only the width test, which never ends
+    once adjacent floats near the root are more than tol apart."""
+
+    def g(c):
+        rem = n - c - 1
+        return rem * math.log(rem) - c
+
+    lo, hi = 1.0, float(n - 2)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if g(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_optimal_c_root_unchanged_where_width_test_ends():
+    for n in range(4, 2001):
+        assert optimal_c_root(n) == bisect_to_absolute_tol(n), n
