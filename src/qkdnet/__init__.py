@@ -9,53 +9,48 @@ Core surfaces:
 - simulator: Monte Carlo validation of the attack probabilities.
 - protocol: executable XOR key-transport sessions.
 
-Importing the package does not import numpy.  The simulator names
-``TrialStats``, ``run_trials``, ``node_attack_succeeds`` and
-``link_attack_succeeds`` are loaded on first access (PEP 562), and with
-them numpy; ``epsilon2_exact`` imports numpy when it runs.
+Importing the package loads none of its submodules.  Each exported name
+(``_HOMES`` below) and each submodule loads on first access (PEP 562):
+``qkdnet.run_trials`` loads ``qkdnet.simulator`` and with it numpy, and
+``qkdnet.run_session`` loads ``qkdnet.protocol``, ``qkdnet.routes`` and
+hashlib.  ``qkdnet.cli`` loads only topology, combinatorics, security and
+errors up front, and imports the rest in the commands that use it.
+``epsilon2_exact`` imports numpy when it runs.
 """
-
-from .combinatorics import (
-    AttackProbability,
-    binomial,
-    f_inclusion_exclusion,
-    p_success_approx,
-    p_success_exact,
-)
-from .errors import CapExceededError, InconsistencyError, QkdNetError, ValidationError
-from .protocol import adversary_view, reconstruct_at_endpoint, run_session
-from .routes import (
-    RouteSet,
-    RoutingScheme,
-    build_routing_scheme,
-    cannacci_count,
-    enumerate_routes,
-    min_link_cut_size,
-)
-from .security import (
-    SecurityParams,
-    SecurityReport,
-    epsilon1_approx,
-    epsilon1_exact,
-    epsilon2_approx,
-    epsilon2_exact,
-    epsilon_qn,
-    hash_reduction_factor,
-    optimal_c_integer,
-    optimal_c_root,
-)
-from .topology import CompromiseScenario, Link, NetworkSegment, make_segment
 
 __version__ = "0.1.0"
 
-_SIMULATOR_NAMES = frozenset(
-    ("TrialStats", "run_trials", "node_attack_succeeds", "link_attack_succeeds")
-)
+# Submodule -> the names it exports here.
+_HOMES = {
+    "combinatorics": ("AttackProbability", "binomial", "f_inclusion_exclusion",
+                      "p_success_approx", "p_success_exact"),
+    "errors": ("CapExceededError", "InconsistencyError", "QkdNetError", "ValidationError"),
+    "protocol": ("adversary_view", "reconstruct_at_endpoint", "run_session"),
+    "routes": ("RouteSet", "RoutingScheme", "build_routing_scheme", "cannacci_count",
+               "enumerate_routes", "min_link_cut_size"),
+    "security": ("SecurityParams", "SecurityReport", "epsilon1_approx", "epsilon1_exact",
+                 "epsilon2_approx", "epsilon2_exact", "epsilon_qn", "hash_reduction_factor",
+                 "optimal_c_integer", "optimal_c_root"),
+    "simulator": ("TrialStats", "run_trials", "node_attack_succeeds", "link_attack_succeeds"),
+    "topology": ("CompromiseScenario", "Link", "NetworkSegment", "make_segment"),
+}
+# Exported name -> its submodule, and every submodule -> itself.
+_EXPORTS = {name: home for home, names in _HOMES.items() for name in names}
+_EXPORTS.update((module, module) for module in (*_HOMES, "cli"))
 
 
 def __getattr__(name: str):
-    if name in _SIMULATOR_NAMES:
-        from . import simulator
+    home = _EXPORTS.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__ takes the interpreter's own import path, which -X importtime
+    # reports; importing a submodule binds it in this namespace.
+    __import__(f"{__name__}.{home}")
+    if home == name:
+        return globals()[name]
+    value = globals()[name] = getattr(globals()[home], name)
+    return value
 
-        return getattr(simulator, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -11,11 +11,12 @@ Exit codes: 0 success, 2 validation error or unwritable output file,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 
-from . import combinatorics, protocol, routes, security
+# routes, protocol and hashlib are imported by the commands that use them,
+# so that analyze, sweep and optimize-c do not load them.
+from . import combinatorics, security
 from .errors import CapExceededError, InconsistencyError, ValidationError
 from .topology import make_segment
 
@@ -122,7 +123,24 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _decimal_string(value: int) -> str:
+    """``str(value)``, also past CPython's int-to-str digit limit.
+
+    The limit (``sys.set_int_max_str_digits``) is process-wide and guards
+    against CVE-2020-10735, so it is left as it is; a longer count is
+    formatted through ``decimal``, whose conversion it does not cover.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import MAX_EMAX, MAX_PREC, Context
+
+        return format(Context(prec=MAX_PREC, Emax=MAX_EMAX).create_decimal(value), "f")
+
+
 def cmd_routes(args) -> int:
+    from . import routes
+
     seg = make_segment(args.n, args.c)
     if args.edges:
         _print_csv(["from", "to"], [[link.src, link.dst] for link in seg.edges()])
@@ -130,7 +148,7 @@ def cmd_routes(args) -> int:
     payload: dict = {
         "n": args.n,
         "c": args.c,
-        "count": str(routes.cannacci_count(args.n, args.c)),
+        "count": _decimal_string(routes.cannacci_count(args.n, args.c)),
     }
     if args.enumerate:
         rs = routes.enumerate_routes(seg, cap=args.cap)
@@ -197,6 +215,10 @@ def cmd_optimize_c(args) -> int:
 
 
 def cmd_demo_protocol(args) -> int:
+    import hashlib
+
+    from . import protocol, routes
+
     seg = make_segment(args.n, args.c)
     # Refuse before the scheme is built: the route cap first, then the key
     # length, the seed and the session's key material.
@@ -312,10 +334,12 @@ def _add_optimize_c(p: argparse.ArgumentParser) -> None:
 
 
 def _add_demo_protocol(p: argparse.ArgumentParser) -> None:
+    from .protocol import MAX_KEY_LEN
+
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--key-len", type=int, default=128,
-                   help=f"bits per key, 1..{protocol.MAX_KEY_LEN}")
+                   help=f"bits per key, 1..{MAX_KEY_LEN}")
     p.add_argument("--seed", type=int, default=0, help="key seed, >= 0")
     p.add_argument("--corrupt", action="store_true",
                    help="flip one ciphertext bit to demonstrate FAIL detection")

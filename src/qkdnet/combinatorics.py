@@ -10,13 +10,12 @@ with mean probability p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError, check_probability
 
 
-@dataclass(frozen=True)
-class AttackProbability:
+class AttackProbability(NamedTuple):
     """Exact and lowest-order attack success probabilities for one (N, c, p)."""
 
     exact: float

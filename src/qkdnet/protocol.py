@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceededError, ValidationError
 from .routes import RoutingScheme, bundle_id_total
@@ -43,23 +43,20 @@ MAX_KEY_LEN = 1 << 16
 MAX_SESSION_BITS = 1 << 30
 
 
-@dataclass(frozen=True)
-class SessionKeys:
+class SessionKeys(NamedTuple):
     link_keys: dict[Link, int]
     route_keys: tuple[int, ...]
     key_len: int
 
 
-@dataclass(frozen=True)
-class SessionTranscript:
+class SessionTranscript(NamedTuple):
     """Per-link ciphertexts in routing-scheme link order."""
 
     messages: tuple[tuple[Link, int], ...]
     key_len: int
 
 
-@dataclass(frozen=True)
-class AdversaryView:
+class AdversaryView(NamedTuple):
     known_nodes: frozenset[int]
     known_links: frozenset[Link]
     recovered_route_keys: frozenset[int]

@@ -8,7 +8,8 @@ N-1 into parts of size 1..c, so their number is the N-th c-annacci number
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from itertools import cycle, islice
+from typing import NamedTuple
 
 from .errors import CapExceededError, ValidationError
 from .topology import Link, NetworkSegment, make_segment
@@ -29,8 +30,7 @@ def route_cap_from_env(default: int = DEFAULT_ROUTE_CAP) -> int:
         raise ValidationError(f"{ROUTE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class RouteSet:
+class RouteSet(NamedTuple):
     """All routes of a segment in lexicographic order, with the exact count."""
 
     segment: NetworkSegment
@@ -38,8 +38,7 @@ class RouteSet:
     count: int
 
 
-@dataclass(frozen=True)
-class RoutingScheme:
+class RoutingScheme(NamedTuple):
     """Map of each link to the ascending route indices (1-based) carried on it."""
 
     segment: NetworkSegment
@@ -51,10 +50,26 @@ def cannacci_count(n_nodes: int, density: int) -> int:
     """Exact number of first-to-last routes, F^(c)_N, as a big integer.
 
     Computed by the linear recurrence F_k = F_{k-1} + ... + F_{k-c} over the
-    distance to cover, so it stays exact for any N.
+    distance to cover, so it stays exact for any N; only the last c terms
+    are kept.
     """
     seg = make_segment(n_nodes, density)
-    return _composition_counts(seg.n_nodes - 1, seg.density)[-1]
+    return _composition_count(seg.n_nodes - 1, seg.density)
+
+
+def _composition_count(distance: int, max_part: int) -> int:
+    """``_composition_counts(distance, max_part)[-1]`` from a ring of the
+    last max_part counts: O(max_part * distance) bits of memory, where the
+    whole list takes O(distance^2)."""
+    ring = [0] * max_part  # ring[d % max_part] = counts[d]
+    ring[0] = 1
+    total = 1  # sum(ring)
+    for i in islice(cycle(range(max_part)), 1, distance + 1):
+        # i = d % max_part; ring[i] still holds counts[d - max_part]
+        new = total
+        total += new - ring[i]
+        ring[i] = new
+    return ring[distance % max_part]
 
 
 def _composition_counts(distance: int, max_part: int) -> list[int]:
@@ -88,16 +103,17 @@ def check_route_cap(count: int, cap: int | None) -> None:
     ``cap`` defaults to 2^20, overridable via the QKDNET_ROUTE_CAP
     environment variable, since the count grows exponentially with N.
     A cap below 1 is a ValidationError: every segment has at least one
-    route.
+    route.  A count of 2^64 or more is reported by its bit length, since
+    its decimal form can run to thousands of digits (past CPython's
+    int-to-str limit from about 4,300).
     """
     if cap is None:
         cap = route_cap_from_env()
     if cap < 1:
         raise ValidationError(f"route cap must be >= 1, got {cap}")
     if count > cap:
-        raise CapExceededError(
-            f"route count {count} exceeds materialization cap {cap}"
-        )
+        size = str(count) if count.bit_length() <= 64 else f"of {count.bit_length()} bits"
+        raise CapExceededError(f"route count {size} exceeds materialization cap {cap}")
 
 
 def enumerate_routes(seg: NetworkSegment, cap: int | None = None) -> RouteSet:
@@ -149,8 +165,8 @@ def build_routing_scheme(seg: NetworkSegment, cap: int | None = None) -> Routing
     the same check as ``enumerate_routes`` (see ``check_route_cap``).
     """
     n, c = seg.n_nodes, seg.density
+    check_route_cap(_composition_count(n - 1, c), cap)
     counts = _composition_counts(n - 1, c)
-    check_route_cap(counts[-1], cap)
     tail = [0] + counts[::-1]  # tail[v] = counts[n - v]
     # first[v]: the first route id of each prefix 1 -> ... -> v
     first: list[list[int]] = [[] for _ in range(n + 1)]

@@ -9,10 +9,10 @@ maximizes the hash-output reduction factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .combinatorics import p_success_exact, regime_bound
-from .errors import CapExceededError, ValidationError, check_probability
+from .errors import CapExceededError, ValidationError, check_float_size, check_probability
 from .topology import NetworkSegment
 
 # epsilon2_exact keeps 2^c window states; at c = 20 its work arrays take
@@ -21,20 +21,23 @@ MAX_WINDOW_DENSITY = 20
 ROOT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SecurityParams:
-    """Per-element failure probabilities."""
-
+class _Params(NamedTuple):
     eps_auth: float
     eps_qkd: float
 
-    def __post_init__(self) -> None:
-        check_probability(self.eps_auth, "eps_auth")
-        check_probability(self.eps_qkd, "eps_qkd")
+
+class SecurityParams(_Params):
+    """Per-element failure probabilities."""
+
+    __slots__ = ()
+
+    def __new__(cls, eps_auth: float, eps_qkd: float) -> SecurityParams:
+        check_probability(eps_auth, "eps_auth")
+        check_probability(eps_qkd, "eps_qkd")
+        return super().__new__(cls, eps_auth, eps_qkd)
 
 
-@dataclass(frozen=True)
-class SecurityReport:
+class SecurityReport(NamedTuple):
     """Segment failure bound and its two components.
 
     Exact fields are None in approx mode.  ``eps_qn`` is the sum of the
@@ -80,6 +83,7 @@ def epsilon1_approx(seg: NetworkSegment, eps_auth: float) -> float:
     eps_auth + approx / 2 (see combinatorics.p_success_approx).
     """
     _check_interior_density(seg)
+    check_float_size(seg.n_nodes, "N")
     check_probability(eps_auth, "eps_auth")
     return (seg.n_nodes - seg.density - 1) * eps_auth ** seg.density
 
@@ -106,6 +110,7 @@ def epsilon1_exact(seg: NetworkSegment, eps_auth: float) -> float:
 def epsilon2_approx(seg: NetworkSegment, eps_qkd: float) -> float:
     """Lowest-order link-attack bound: 2 * eps_qkd^c for c > 1, and the
     serial-chain value (N-1) * eps_qkd for c = 1."""
+    check_float_size(seg.n_nodes, "N")
     check_probability(eps_qkd, "eps_qkd")
     if seg.density == 1:
         return (seg.n_nodes - 1) * eps_qkd
@@ -223,6 +228,7 @@ def optimal_c_root(n_nodes: int, tol: float = ROOT_TOL) -> float:
     """
     if n_nodes < 4:
         raise ValidationError(f"N must be >= 4, got {n_nodes}")
+    check_float_size(n_nodes, "N")
 
     def g(c: float) -> float:
         rem = n_nodes - c - 1
@@ -254,6 +260,7 @@ def optimal_c_root_approx(n_nodes: int) -> float:
     """
     if n_nodes < 4:
         raise ValidationError(f"N must be >= 4, got {n_nodes}")
+    check_float_size(n_nodes, "N")
     log_term = math.log(n_nodes - 1)
     return (n_nodes - 1) * log_term / (log_term + 2)
 

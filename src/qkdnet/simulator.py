@@ -26,7 +26,7 @@ them; they stay as the scalar reference predicates that the tests check
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ BLOCK_BYTES = 1 << 20
 CHUNK_LANES = 1 << 19
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     trials: int
     successes_auth: int
     successes_link: int

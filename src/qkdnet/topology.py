@@ -7,11 +7,15 @@ zeros elsewhere.
 
 A ``CompromiseScenario`` names the interior nodes and links an adversary
 holds in one session.
+
+The records of this package are ``typing.NamedTuple``s: immutable,
+hashable when their fields are, and built by keyword or by position.  Being
+tuples, they also unpack and compare equal to plain tuples of the same
+values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -24,26 +28,28 @@ class Link(NamedTuple):
     dst: int
 
 
-@dataclass(frozen=True)
-class NetworkSegment:
+class _Segment(NamedTuple):
+    n_nodes: int
+    density: int
+
+
+class NetworkSegment(_Segment):
     """Immutable (N, c) segment descriptor.
 
     ``n_nodes`` includes both endpoints; ``density`` is the maximum hop
     length, i.e. each node links to the next ``density`` nodes.
     """
 
-    n_nodes: int
-    density: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_nodes < 3:
+    def __new__(cls, n_nodes: int, density: int) -> NetworkSegment:
+        if n_nodes < 3:
             raise ValidationError(
-                f"n_nodes must be >= 3 (need at least one interior node), got {self.n_nodes}"
+                f"n_nodes must be >= 3 (need at least one interior node), got {n_nodes}"
             )
-        if not 1 <= self.density <= self.n_nodes - 1:
-            raise ValidationError(
-                f"density must be in [1, {self.n_nodes - 1}], got {self.density}"
-            )
+        if not 1 <= density <= n_nodes - 1:
+            raise ValidationError(f"density must be in [1, {n_nodes - 1}], got {density}")
+        return super().__new__(cls, n_nodes, density)
 
     @property
     def edge_count(self) -> int:
@@ -72,15 +78,11 @@ class NetworkSegment:
             raise ValidationError(f"node must be in [1, {self.n_nodes}], got {node}")
         return list(range(max(node - self.density, 1), node))
 
-    def has_link(self, src: int, dst: int) -> bool:
-        return 1 <= src < dst <= self.n_nodes and dst - src <= self.density
-
     def to_dict(self) -> dict:
         return {"n": self.n_nodes, "c": self.density}
 
 
-@dataclass(frozen=True)
-class CompromiseScenario:
+class CompromiseScenario(NamedTuple):
     """One session's adversary holdings: interior nodes and links."""
 
     compromised_nodes: frozenset[int]

@@ -1,4 +1,5 @@
 import argparse
+import decimal
 import hashlib
 import json
 import os
@@ -140,6 +141,36 @@ def test_routes_big_count_and_cap(capsys):
     assert int(json.loads(out)["count"]) > 1 << 20
     code, _, err = run_cli(capsys, "routes", "--n", "200", "--c", "3", "--enumerate")
     assert code == 3
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_routes_count_past_int_str_limit(capsys):
+    # At c = 2 the route counts are Fibonacci numbers (8 = F(6) at N = 6).
+    # F(30000) has 6,270 digits, past CPython's int-to-str limit of 4,300,
+    # which the command leaves in place.
+    code, out, err = run_cli(capsys, "routes", "--n", "30000", "--c", "2", "--count-only")
+    assert code == 0, err
+    count = json.loads(out)["count"]
+    assert len(count) == 6270
+    assert int(decimal.Decimal(count)) == fibonacci(30000)
+
+
+def test_route_count_memory_is_linear_in_n():
+    # Keeping every intermediate count takes O(N^2) bits, about 467 MB
+    # here; the last c counts take O(cN).
+    limit = 300_000_000
+    proc = run_cli_fresh(
+        "routes", "--n", "100000", "--c", "2", "--count-only",
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["count"]) == 20899
 
 
 def test_routes_enumerate_serial(capsys):
@@ -297,6 +328,28 @@ def test_optimize_c(capsys):
     assert code == 2
 
 
+HUGE_N = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimize-c", "--n", HUGE_N),
+        ("analyze", "--n", HUGE_N, "--c", "2", "--eps-auth", "0.1", "--eps-qkd", "0.1"),
+        ("analyze", "--n", HUGE_N, "--c", "2", "--eps-auth", "0.1", "--eps-qkd", "0.1",
+         "--mode", "exact"),
+    ],
+)
+def test_n_past_float_range_exits_2(argv):
+    proc = run_cli_fresh(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: N must convert to a finite float (at most about 1.8e308), "
+        "got an integer of 1329 bits\n"
+    )
+
+
 @pytest.mark.parametrize("n", [10**7, 10**12])
 def test_optimize_c_large_n_returns(n):
     # Once adjacent floats near the root are more than the bisection
@@ -424,6 +477,14 @@ def test_demo_protocol_route_cap_fires_before_material_cap(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: route count 102334155 exceeds materialization cap 1048576\n"
+
+
+def test_demo_protocol_route_count_past_int_str_limit_exits_3(capsys):
+    # F(30000) routes has 6,270 digits; the message gives its bit length
+    code, out, err = run_cli(capsys, "demo-protocol", "--n", "30000", "--c", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "error: route count of 20827 bits exceeds materialization cap 1048576\n"
 
 
 def test_demo_protocol_negative_seed_exits_2(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from qkdnet import Link, ValidationError, make_segment
+from qkdnet import Link, NetworkSegment, ValidationError, make_segment
 
 
 def brute_edges(n, c):
@@ -23,11 +23,17 @@ def test_density_bound_rejected():
         make_segment(6, 7)
     with pytest.raises(ValidationError, match="density"):
         make_segment(6, 0)
+    with pytest.raises(ValidationError, match="density"):
+        NetworkSegment(6, 7)
 
 
 def test_too_few_nodes_rejected():
     with pytest.raises(ValidationError, match="n_nodes"):
         make_segment(2, 1)
+    with pytest.raises(ValidationError, match="n_nodes"):
+        NetworkSegment(2, 1)
+    with pytest.raises(ValidationError, match="n_nodes"):
+        NetworkSegment(n_nodes=2, density=1)
 
 
 def test_edges_deterministic_order():
