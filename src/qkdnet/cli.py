@@ -17,12 +17,10 @@ import sys
 # routes, protocol and hashlib are imported by the commands that use them,
 # so that analyze, sweep and optimize-c do not load them.
 from . import combinatorics, security
-from .errors import CapExceededError, InconsistencyError, ValidationError
+from .errors import QkdNetError, ValidationError
 from .topology import make_segment
 
 EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_CAP = 3
 EXIT_INCONSISTENT = 4
 # Most grid points one sweep evaluates; the grid is built before any row.
 MAX_SWEEP_POINTS = 10**5
@@ -103,14 +101,9 @@ def cmd_sweep(args) -> int:
         seg = make_segment(args.n, args.c)
         header = ["eps_qkd", "eps2_exact", "eps2_approx", "regime_valid"]
         for q in grid:
-            rows.append(
-                [
-                    q,
-                    security.epsilon2_exact(seg, q),
-                    security.epsilon2_approx(seg, q),
-                    security.epsilon2_regime_valid(seg, q),
-                ]
-            )
+            approx = security.epsilon2_approx(seg, q)  # checks N before the exact chain
+            exact = security.epsilon2_exact(seg, q)
+            rows.append([q, exact, approx, security.epsilon2_regime_valid(seg, q)])
     else:  # c or N: integer grid, node-attack probability at fixed p
         values = sorted({int(round(v)) for v in grid})
         header = [args.param, "p_s_exact", "p_s_approx", "regime_valid"]
@@ -198,10 +191,9 @@ def _write_file(path, text: str) -> None:
 
 
 def cmd_optimize_c(args) -> int:
-    if args.n < 5:
-        raise ValidationError(f"n must be >= 5, got {args.n}")
-    c_root = security.optimal_c_root(args.n)
+    # optimal_c_integer checks the N range for all four figures
     c_int = security.optimal_c_integer(args.n)
+    c_root = security.optimal_c_root(args.n)
     _print_json(
         {
             "n": args.n,
@@ -415,15 +407,9 @@ def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except QkdNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except InconsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
+        return exc.exit_code
 
 
 if __name__ == "__main__":

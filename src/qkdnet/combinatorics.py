@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ValidationError, check_probability
+from .errors import ValidationError, check_float_size, check_probability
 
 
 class AttackProbability(NamedTuple):
@@ -105,7 +105,7 @@ def regime_bound(n_nodes: int, c: int) -> float:
 
     Beyond it the term exceeds 1 and bounds nothing.  It is not
     an accuracy boundary: the relative gap of the term depends on p itself
-    (see p_success_approx), so below this p it can still exceed 10%.  The
+    (see lowest_order_term), so below this p it can still exceed 10%.  The
     ``regime_valid`` flags derived from it (``p_success_approx``, the sweep
     CSV column, ``regime_auth_valid`` in ``analyze``) therefore mean "the
     lowest-order term is <= 1", not "the term is accurate": at N=20, c=5,
@@ -114,18 +114,25 @@ def regime_bound(n_nodes: int, c: int) -> float:
     return (1.0 / (n_nodes - c - 1)) ** (1.0 / c)
 
 
-def p_success_approx(n_nodes: int, c: int, p: float) -> AttackProbability:
-    """Lowest-order approximation (N-c-1) p^c alongside the exact value.
+def lowest_order_term(n_nodes: int, c: int, p: float) -> float:
+    """The lowest-order attack probability (N-c-1) p^c, for 1 <= c <= N-2,
+    N that converts to a finite float, and p in [0, 1].
 
-    The approximation is the union bound over the N-c-1 windows of c
-    consecutive interior nodes, so it is an upper bound on the exact
-    value.  Bonferroni's lower bound limits the relative gap:
+    It is the union bound over the N-c-1 windows of c consecutive
+    interior nodes, so it is an upper bound on the exact value.
+    Bonferroni's lower bound limits the relative gap:
     0 <= approx - exact <= approx * (p + approx / 2); to first order the
     gap is (N-c-2)/(N-c-1) * p.
     """
     _check_nmc(n_nodes, 0, c)
+    check_float_size(n_nodes, "N")
     check_probability(p)
-    approx = (n_nodes - c - 1) * p ** c
+    return (n_nodes - c - 1) * p ** c
+
+
+def p_success_approx(n_nodes: int, c: int, p: float) -> AttackProbability:
+    """lowest_order_term alongside the exact value."""
+    approx = lowest_order_term(n_nodes, c, p)
     exact = p_success_exact(n_nodes, c, p)
     return AttackProbability(
         exact=exact,

@@ -2,25 +2,28 @@
 that every module validates its probability arguments with, and the size
 check for integers that float formulas take.
 
-The CLI maps these onto distinct exit codes, so library code should raise
-the most specific class that applies.
+Each class carries the CLI exit code it maps to, so library code should
+raise the most specific class that applies.
 """
 
 
 class QkdNetError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; raise one of its subclasses."""
 
 
 class ValidationError(QkdNetError, ValueError):
     """A parameter violated its documented bound."""
+    exit_code = 2
 
 
 class CapExceededError(QkdNetError, RuntimeError):
     """A computation would exceed a configured resource cap."""
+    exit_code = 3
 
 
 class InconsistencyError(QkdNetError, RuntimeError):
     """Two internal computations of the same quantity disagreed."""
+    exit_code = 4
 
 
 def check_probability(value, name: str = "p") -> None:

@@ -11,10 +11,11 @@ claim: the model assumes sufficient key material per link.  BLAKE2b is
 keyed once per link and its keyed state copied for each counter block,
 which gives the same digests as keying every block.
 
-When ``key_len % 8 == 0`` (the default 128 bits), messages are packed and
-split on bytes: each route key is converted to bytes once and a bundle is
-one ``b"".join``.  Other lengths use the shift-or ``_concat_keys`` and
-``_split_keys``; both paths give the same integers.
+When ``key_len % 8 == 0`` (the default 128 bits), messages are packed on
+bytes: each route key is converted to bytes once and a bundle is one
+``b"".join``.  Other lengths use the shift-or ``_concat_keys``; both paths
+give the same integers.  Plaintexts are split one way for every length,
+by ``_split_keys``.
 
 A session's messages carry sum(len(bundle)) * key_len bits, which grows
 with the route count; ``check_session`` refuses more than
@@ -128,16 +129,6 @@ def _join_key_bytes(key_bytes: list[bytes], bundle: tuple[int, ...]) -> int:
     return int.from_bytes(b"".join(map(key_bytes.__getitem__, bundle)), "big")
 
 
-def _split_key_bytes(value: int, count: int, key_bytes: int) -> list[int]:
-    """The inverse of ``_join_key_bytes`` for a value below
-    2^(8 * count * key_bytes): its keys, most significant first."""
-    data = value.to_bytes(count * key_bytes, "big")
-    return [
-        int.from_bytes(data[i : i + key_bytes], "big")
-        for i in range(0, len(data), key_bytes)
-    ]
-
-
 def check_session(seg: NetworkSegment, key_len: int, seed: int) -> None:
     """Refuse a session before anything is allocated.
 
@@ -211,19 +202,11 @@ def reconstruct_at_endpoint(
     The in-link bundles of node N partition the route indices, so the
     endpoint's own link keys suffice.  A missing link key, a ciphertext of
     the wrong bit length or route ids left uncovered are ValidationErrors.
-    When ``key_len % 8 == 0`` each plaintext is split on bytes; otherwise
-    by ``_split_keys``.
+    Each plaintext is split by ``_split_keys``, whatever the key length.
     """
     key_len = transcript.key_len
     if not 1 <= key_len <= MAX_KEY_LEN:
         raise ValidationError(f"key_len must be in [1, {MAX_KEY_LEN}], got {key_len}")
-    if key_len % 8:
-        def split(plaintext, count):
-            return _split_keys(plaintext, count, key_len)
-    else:
-        def split(plaintext, count):
-            return _split_key_bytes(plaintext, count, key_len // 8)
-
     recovered: dict[int, int] = {}
     for link, ciphertext in transcript.messages:
         if link.dst != seg.n_nodes:
@@ -235,7 +218,7 @@ def reconstruct_at_endpoint(
         if ciphertext < 0 or ciphertext >> nbits:
             raise ValidationError(f"ciphertext on {link} has wrong bit length")
         plaintext = ciphertext ^ _keystream(link_keys_of_last_node[link], key_len, nbits)
-        recovered.update(zip(bundle, split(plaintext, len(bundle))))
+        recovered.update(zip(bundle, _split_keys(plaintext, len(bundle), key_len)))
     if set(recovered) != set(range(1, scheme.route_count + 1)):
         raise ValidationError("transcript does not cover every route key")
     final_key = 0

@@ -20,10 +20,10 @@ ROUTE_CAP_ENV = "QKDNET_ROUTE_CAP"
 Route = tuple[int, ...]
 
 
-def route_cap_from_env(default: int = DEFAULT_ROUTE_CAP) -> int:
+def route_cap_from_env() -> int:
     raw = os.environ.get(ROUTE_CAP_ENV)
     if not raw:
-        return default
+        return DEFAULT_ROUTE_CAP
     try:
         return int(raw)
     except ValueError:

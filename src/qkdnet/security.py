@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .combinatorics import p_success_exact, regime_bound
+from .combinatorics import lowest_order_term, p_success_exact, regime_bound
 from .errors import CapExceededError, ValidationError, check_float_size, check_probability
 from .topology import NetworkSegment
 
@@ -68,24 +68,10 @@ class SecurityReport(NamedTuple):
         }
 
 
-def _check_interior_density(seg: NetworkSegment) -> None:
-    if seg.density > seg.n_nodes - 2:
-        raise ValidationError(
-            f"density must be <= n_nodes-2 = {seg.n_nodes - 2} for the security "
-            f"formulas (run placement count must be positive), got {seg.density}"
-        )
-
-
 def epsilon1_approx(seg: NetworkSegment, eps_auth: float) -> float:
-    """Lowest-order node-attack bound (N-c-1) * eps_auth^c.
-
-    An upper bound on epsilon1_exact, with relative gap at most
-    eps_auth + approx / 2 (see combinatorics.p_success_approx).
-    """
-    _check_interior_density(seg)
-    check_float_size(seg.n_nodes, "N")
-    check_probability(eps_auth, "eps_auth")
-    return (seg.n_nodes - seg.density - 1) * eps_auth ** seg.density
+    """Lowest-order node-attack bound (N-c-1) * eps_auth^c, an upper bound
+    on epsilon1_exact; see combinatorics.lowest_order_term."""
+    return lowest_order_term(seg.n_nodes, seg.density, eps_auth)
 
 
 def epsilon1_regime_valid(seg: NetworkSegment, eps_auth: float) -> bool:
@@ -102,8 +88,6 @@ def epsilon1_regime_valid(seg: NetworkSegment, eps_auth: float) -> bool:
 def epsilon1_exact(seg: NetworkSegment, eps_auth: float) -> float:
     """Exact node-attack probability via the success-runs chain of
     combinatorics.p_success_exact."""
-    _check_interior_density(seg)
-    check_probability(eps_auth, "eps_auth")
     return p_success_exact(seg.n_nodes, seg.density, eps_auth)
 
 
@@ -216,14 +200,14 @@ def epsilon_qn(
     )
 
 
-def optimal_c_root(n_nodes: int, tol: float = ROOT_TOL) -> float:
+def optimal_c_root(n_nodes: int) -> float:
     """Real root c* of (N-c-1) ln(N-c-1) = c in [1, N-2], by bisection.
 
     The left side decreases and the right side increases in c, so the root
     is unique, and [1, N-2] brackets it for every N >= 4: the difference
     is (N-2) ln(N-2) - 1 > 0 at c = 1 and -(N-2) < 0 at c = N-2.  Bisection
-    stops at width ``tol`` or, once the root is large enough that adjacent
-    floats are further apart than ``tol``, when the bracket can shrink no
+    stops at width ROOT_TOL or, once the root is large enough that adjacent
+    floats are further apart than ROOT_TOL, when the bracket can shrink no
     more.
     """
     if n_nodes < 4:
@@ -235,9 +219,9 @@ def optimal_c_root(n_nodes: int, tol: float = ROOT_TOL) -> float:
         return rem * math.log(rem) - c
 
     lo, hi = 1.0, float(n_nodes - 2)
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = (lo + hi) / 2
-        if mid == lo or mid == hi:  # adjacent floats: tol is below their spacing
+        if mid == lo or mid == hi:  # adjacent floats: ROOT_TOL is below their spacing
             break
         if g(mid) > 0:
             lo = mid
@@ -283,10 +267,19 @@ def optimal_c_integer(n_nodes: int) -> int:
     equation (N-c-1) ln(N-c-1) = c.  The integer argmax is therefore
     floor or ceil of optimal_c_root; one more integer on each side absorbs
     the bisection tolerance.
+
+    N must be at least 5, and at most about 2.556e305: above that
+    (N-1) ln(N-1), which bounds the products of both the factor and
+    optimal_c_root_approx, leaves the float range and they are inf.
     """
     if n_nodes < 5:
         raise ValidationError(f"N must be >= 5, got {n_nodes}")
     root = optimal_c_root(n_nodes)
+    if math.isinf((n_nodes - 1) * math.log(n_nodes - 1)):
+        raise ValidationError(
+            f"N must be at most about 2.556e305, where (N-1) ln(N-1) leaves "
+            f"the float range, got {float(n_nodes):.6g}"
+        )
     lo = max(1, math.floor(root) - 1)
     hi = min(n_nodes - 3, math.ceil(root) + 1)
     # max keeps the first, so the smallest, c among equal factors

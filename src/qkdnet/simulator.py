@@ -32,7 +32,7 @@ import numpy as np
 
 from .combinatorics import max_run_length
 from .errors import InconsistencyError, ValidationError, check_probability
-from .topology import Link, NetworkSegment
+from .topology import CompromiseScenario, Link, NetworkSegment
 
 RNG_ALGORITHM = "numpy-pcg64"
 # Packed node and link words per trial block, in bytes (2^23 lanes), and
@@ -57,18 +57,9 @@ class TrialStats(NamedTuple):
     rng: str = RNG_ALGORITHM
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes_auth": self.successes_auth,
-            "successes_link": self.successes_link,
-            "successes_joint": self.successes_joint,
-            "estimate_auth": self.estimate_auth,
-            "estimate_link": self.estimate_link,
-            "stderr_auth": self.stderr_auth,
-            "stderr_link": self.stderr_link,
-            "seed": self.seed,
-            "rng": self.rng,
-        }
+        fields = self._asdict()
+        del fields["progress"]
+        return fields
 
 
 def _has_run_of_c(seg: NetworkSegment, compromised: frozenset[int]) -> bool:
@@ -93,9 +84,7 @@ def node_attack_succeeds(seg: NetworkSegment, compromised) -> bool:
     Both the run-of-c check and the path-based check are evaluated; they
     must agree (this is a topology theorem, so disagreement means a bug).
     """
-    compromised = frozenset(compromised)
-    if not compromised <= set(seg.interior_nodes):
-        raise ValidationError("compromised nodes must be interior")
+    compromised = CompromiseScenario.of(seg, nodes=compromised).compromised_nodes
     by_run = _has_run_of_c(seg, compromised)
     by_path = not _has_clean_path(seg, compromised)
     if by_run != by_path:
@@ -108,9 +97,7 @@ def node_attack_succeeds(seg: NetworkSegment, compromised) -> bool:
 
 def link_attack_succeeds(seg: NetworkSegment, intercepted) -> bool:
     """True iff every first-to-last route contains an intercepted link."""
-    intercepted = frozenset(Link(*l) for l in intercepted)
-    if not intercepted <= set(seg.edges()):
-        raise ValidationError("intercepted links must be edges of the segment")
+    intercepted = CompromiseScenario.of(seg, links=intercepted).intercepted_links
     reachable = [False] * (seg.n_nodes + 1)
     reachable[1] = True
     for j in range(2, seg.n_nodes + 1):

@@ -338,6 +338,11 @@ HUGE_N = str(10**400)
         ("analyze", "--n", HUGE_N, "--c", "2", "--eps-auth", "0.1", "--eps-qkd", "0.1"),
         ("analyze", "--n", HUGE_N, "--c", "2", "--eps-auth", "0.1", "--eps-qkd", "0.1",
          "--mode", "exact"),
+        # the exact chains would run N steps; eps_qkd used to hang here
+        *(("sweep", "--param", param, "--start", start, "--stop", stop, "--points", "2",
+           "--n", HUGE_N)
+          for param, start, stop in [("p", "0.01", "0.1"), ("eps_auth", "0.01", "0.1"),
+                                     ("c", "1", "3"), ("eps_qkd", "0.01", "0.1")]),
     ],
 )
 def test_n_past_float_range_exits_2(argv):
@@ -361,6 +366,27 @@ def test_optimize_c_large_n_returns(n):
     jsonschema.validate(payload, load_schema("optimize_c.schema.json"))
     assert payload["n"] == n
     assert abs(payload["c_integer"] - payload["c_root"]) <= 2
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+# About 2.556e305 is the largest N whose (N-1) ln(N-1) is a finite float.
+@pytest.mark.parametrize(
+    "n", [25 * 10**304, 26 * 10**304, 10**306], ids=["2.5e305", "2.6e305", "1e306"]
+)
+def test_optimize_c_prints_only_finite_numbers(n):
+    proc = run_cli_fresh("optimize-c", "--n", str(n))
+    if n < 2556 * 10**302:
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout, parse_constant=reject_constant)
+        assert payload["n"] == n
+        assert payload["c_integer"] / payload["c_root"] == pytest.approx(1, rel=1e-11)
+        return
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: N must be at most about 2.556e305, ")
 
 
 def test_optimize_c_factor_baseline(capsys):
@@ -612,3 +638,34 @@ def test_main_builds_only_the_invoked_subcommand(capsys, monkeypatch):
     calls.clear()
     build_parser()
     assert calls == [help_option] + [args for name in SUBCOMMANDS for args in own[name]]
+
+
+# Analysis commands at benchmark sizes, one per line; the sha256 of their
+# stdout, concatenated in this order, was recorded before the ε1 term and
+# its guards moved into one function.
+PINNED_ANALYSIS_ARGV = [
+    "analyze --n 50 --c 5 --eps-auth 0.0123 --eps-qkd 0.00456",
+    "analyze --n 57 --c 6 --eps-auth 0.31 --eps-qkd 2.5e-05 --mode exact",
+    "analyze --n 11 --c 3 --eps-auth 0.047 --eps-qkd 0.19 --mode exact",
+    "analyze --n 9000 --c 9 --eps-auth 3e-06 --eps-qkd 0.4",
+    "sweep --param p --spacing log --points 5 --n 160 --c 4 --start 3e-06 --stop 0.7",
+    "sweep --param eps_auth --points 4 --n 40 --c 5 --start 0.001 --stop 0.5",
+    "sweep --param eps_qkd --spacing log --points 5 --n 30 --c 4 --start 1e-06 --stop 0.5",
+    "sweep --param c --points 6 --n 60 --p 0.05 --start 1 --stop 12",
+    "sweep --param N --points 5 --c 3 --p 0.02 --start 5 --stop 200",
+    "optimize-c --n 1234",
+    "optimize-c --n 5",
+    "routes --n 400 --c 8 --count-only",
+    "routes --n 37 --c 1 --count-only",
+]
+PINNED_ANALYSIS_STDOUT = "f25194c9825f4f1d2167730cf55c25705bf03d18c9da7b485d67a36b5eb67161"
+
+
+def test_analysis_commands_pinned_bytes(capsys):
+    outputs = []
+    for line in PINNED_ANALYSIS_ARGV:
+        code, out, err = run_cli(capsys, *line.split())
+        assert code == 0, (line, err)
+        outputs.append(out)
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+    assert digest == PINNED_ANALYSIS_STDOUT

@@ -22,7 +22,6 @@ from qkdnet.protocol import (
     _concat_keys,
     _join_key_bytes,
     _keystream,
-    _split_key_bytes,
     _split_keys,
 )
 
@@ -233,8 +232,9 @@ def gapped_bundles(route_count, rng):
 
 @pytest.mark.parametrize("key_len", [8, 16, 64, 128, 1024])
 def test_byte_packing_matches_shift_or_packing(key_len):
-    # The byte path of run_session and reconstruct_at_endpoint must give
-    # the integers of _concat_keys and _split_keys.
+    # The byte path of run_session must give the integers of _concat_keys,
+    # and _split_keys, which reconstruct_at_endpoint uses for every key
+    # length, must invert it.
     rng = random.Random(key_len)
     scheme = build_routing_scheme(make_segment(12, 4))
     route_keys = [rng.getrandbits(key_len) for _ in range(scheme.route_count)]
@@ -244,7 +244,7 @@ def test_byte_packing_matches_shift_or_packing(key_len):
         keys = [route_keys[i - 1] for i in bundle]
         packed = _join_key_bytes(key_bytes, bundle)
         assert packed == _concat_keys(keys, key_len) == reference_concat_keys(keys, key_len)
-        assert _split_key_bytes(packed, len(bundle), key_len // 8) == keys
+        assert _split_keys(packed, len(bundle), key_len) == keys
 
 
 @pytest.mark.parametrize("key_len", [256, 512, 1024])

@@ -18,6 +18,7 @@ from qkdnet import (
     make_segment,
     optimal_c_integer,
     optimal_c_root,
+    p_success_approx,
 )
 from qkdnet.combinatorics import regime_bound
 from qkdnet.security import optimal_c_root_approx
@@ -58,6 +59,25 @@ def test_epsilon1_rejects_density_above_interior():
         epsilon1_approx(make_segment(6, 5), 0.01)
     with pytest.raises(ValidationError):
         epsilon1_exact(make_segment(6, 5), 0.01)
+
+
+@pytest.mark.parametrize(
+    "n,c,p", [(6, 5, 0.01), (6, 2, 1.5), (10**400, 2, 0.1)], ids=["c=N-1", "p=1.5", "N=1e400"]
+)
+def test_epsilon1_and_p_success_share_one_set_of_guards(n, c, p):
+    # one lowest-order term with one set of checks serves both modules
+    with pytest.raises(ValidationError) as from_combinatorics:
+        p_success_approx(n, c, p)
+    with pytest.raises(ValidationError) as from_security:
+        epsilon1_approx(make_segment(n, c), p)
+    assert str(from_security.value) == str(from_combinatorics.value)
+
+
+def test_optimal_c_integer_n_range():
+    with pytest.raises(ValidationError, match=r"^N must be >= 5, got 4$"):
+        optimal_c_integer(4)
+    with pytest.raises(ValidationError, match=r"^N must be at most about 2.556e305, "):
+        optimal_c_integer(10**306)
 
 
 def test_epsilon1_exact_endpoints_and_regime():

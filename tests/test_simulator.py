@@ -39,7 +39,9 @@ def test_node_attack_examples():
 
 
 def test_node_attack_rejects_endpoint():
-    with pytest.raises(ValidationError):
+    # the predicates validate through CompromiseScenario.of and its messages
+    message = r"^compromised nodes must be interior \(2\.\.5\), got \[1, 3\]$"
+    with pytest.raises(ValidationError, match=message):
         node_attack_succeeds(make_segment(6, 2), {1, 3})
 
 
@@ -65,7 +67,7 @@ def test_link_attack_examples():
 
 
 def test_link_attack_rejects_foreign_link():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^intercepted links must be edges of the segment$"):
         link_attack_succeeds(make_segment(6, 2), [Link(1, 4)])
 
 
@@ -87,6 +89,14 @@ def test_scenario_validation():
         CompromiseScenario.of(seg, nodes={1})
     with pytest.raises(ValidationError):
         CompromiseScenario.of(seg, links={(1, 5)})
+
+
+def test_trial_stats_dict_omits_progress():
+    stats = run_trials(make_segment(8, 2), 0.3, 0.2, 100, seed=1)
+    assert list(stats.to_dict()) == [
+        "trials", "successes_auth", "successes_link", "successes_joint",
+        "estimate_auth", "estimate_link", "stderr_auth", "stderr_link", "seed", "rng",
+    ]
 
 
 def test_trials_zero_probability():
