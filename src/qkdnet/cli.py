@@ -2,7 +2,8 @@
 
 Subcommands: analyze, sweep, routes, simulate, optimize-c, demo-protocol.
 All outputs are machine-readable (JSON or CSV); probabilities are printed
-with 12 significant digits, route counts as decimal strings.
+with 12 significant digits, route counts as decimal strings.  ``main``
+parses its argv once, building only the parser of the subcommand it names.
 
 Exit codes: 0 success, 2 validation error or unwritable output file,
 3 resource-cap error, 4 internal inconsistency.
@@ -17,24 +18,22 @@ import sys
 # routes, protocol and hashlib are imported by the commands that use them,
 # so that analyze, sweep and optimize-c do not load them.
 from . import combinatorics, security
-from .errors import QkdNetError, ValidationError
+from .errors import InconsistencyError, QkdNetError, ValidationError
 from .topology import make_segment
 
-EXIT_OK = 0
-EXIT_INCONSISTENT = 4
 # Most grid points one sweep evaluates; the grid is built before any row.
 MAX_SWEEP_POINTS = 10**5
 
 
-def _sig(x: float | None) -> float | None:
-    """Round to 12 significant digits for printing."""
-    if x is None:
-        return None
-    return float(f"{x:.12g}")
-
-
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _json_text(payload: dict) -> str:
+    """``payload`` as indented JSON plus a newline, each float value rounded
+    to 12 significant digits (the values of nested lists and dicts are
+    never floats)."""
+    payload = {
+        key: float(f"{value:.12g}") if isinstance(value, float) else value
+        for key, value in payload.items()
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _csv_value(x) -> str:
@@ -45,23 +44,20 @@ def _csv_value(x) -> str:
     return str(x)
 
 
-def _print_csv(header: list[str], rows: list[list]) -> None:
-    out = sys.stdout
-    out.write(",".join(header) + "\n")
+def _csv_lines(header: list[str], rows):
+    """CSV lines, each ending in a newline: ``header``, then one per row,
+    floats to 12 significant digits and booleans as true/false."""
+    yield ",".join(header) + "\n"
     for row in rows:
-        out.write(",".join(_csv_value(v) for v in row) + "\n")
+        yield ",".join(map(_csv_value, row)) + "\n"
 
 
 def cmd_analyze(args) -> int:
     seg = make_segment(args.n, args.c)
     params = security.SecurityParams(eps_auth=args.eps_auth, eps_qkd=args.eps_qkd)
     report = security.epsilon_qn(seg, params, mode=args.mode)
-    payload = {"n": args.n, "c": args.c}
-    payload.update(report.to_dict())
-    for key in ("eps1_approx", "eps2_approx", "eps1_exact", "eps2_exact", "eps_qn"):
-        payload[key] = _sig(payload[key])
-    _print_json(payload)
-    return EXIT_OK
+    sys.stdout.write(_json_text({"n": args.n, "c": args.c, **report.to_dict()}))
+    return 0
 
 
 def _sweep_grid(args) -> list[float]:
@@ -112,8 +108,8 @@ def cmd_sweep(args) -> int:
             make_segment(n, c)
             res = combinatorics.p_success_approx(n, c, args.p)
             rows.append([v, res.exact, res.approx, res.regime_valid])
-    _print_csv(header, rows)
-    return EXIT_OK
+    sys.stdout.writelines(_csv_lines(header, rows))
+    return 0
 
 
 def _decimal_string(value: int) -> str:
@@ -136,8 +132,8 @@ def cmd_routes(args) -> int:
 
     seg = make_segment(args.n, args.c)
     if args.edges:
-        _print_csv(["from", "to"], [[link.src, link.dst] for link in seg.edges()])
-        return EXIT_OK
+        sys.stdout.writelines(_csv_lines(["from", "to"], seg.edges()))
+        return 0
     payload: dict = {
         "n": args.n,
         "c": args.c,
@@ -152,8 +148,8 @@ def cmd_routes(args) -> int:
             f"{link.src}-{link.dst}": list(bundle)
             for link, bundle in scheme.per_link_bundles.items()
         }
-    _print_json(payload)
-    return EXIT_OK
+    sys.stdout.write(_json_text(payload))
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -163,22 +159,15 @@ def cmd_simulate(args) -> int:
     stats = simulator.run_trials(seg, args.p_node, args.p_link, args.trials, args.seed)
     if args.progress_csv:
         _write_progress_csv(args.progress_csv, stats)
-    payload = stats.to_dict()
-    for key in ("estimate_auth", "estimate_link", "stderr_auth", "stderr_link"):
-        payload[key] = _sig(payload[key])
-    _print_json(payload)
-    return EXIT_OK
+    sys.stdout.write(_json_text(stats.to_dict()))
+    return 0
 
 
 def _write_progress_csv(path, stats) -> None:
     """Running estimates after each tenth of the trials, from the same draw
     as the reported result."""
-    lines = ["trials,estimate_auth,estimate_link"]
-    lines += [
-        f"{done},{auth / done:.12g},{link / done:.12g}"
-        for done, auth, link in stats.progress
-    ]
-    _write_file(path, "\n".join(lines) + "\n")
+    rows = ((done, auth / done, link / done) for done, auth, link in stats.progress)
+    _write_file(path, "".join(_csv_lines(["trials", "estimate_auth", "estimate_link"], rows)))
 
 
 def _write_file(path, text: str) -> None:
@@ -193,17 +182,15 @@ def _write_file(path, text: str) -> None:
 def cmd_optimize_c(args) -> int:
     # optimal_c_integer checks the N range for all four figures
     c_int = security.optimal_c_integer(args.n)
-    c_root = security.optimal_c_root(args.n)
-    _print_json(
-        {
-            "n": args.n,
-            "c_root": _sig(c_root),
-            "c_root_approx": _sig(security.optimal_c_root_approx(args.n)),
-            "c_integer": c_int,
-            "factor": _sig(security.hash_reduction_factor(args.n, c_int)),
-        }
-    )
-    return EXIT_OK
+    payload = {
+        "n": args.n,
+        "c_root": security.optimal_c_root(args.n),
+        "c_root_approx": security.optimal_c_root_approx(args.n),
+        "c_integer": c_int,
+        "factor": security.hash_reduction_factor(args.n, c_int),
+    }
+    sys.stdout.write(_json_text(payload))
+    return 0
 
 
 def cmd_demo_protocol(args) -> int:
@@ -252,9 +239,9 @@ def cmd_demo_protocol(args) -> int:
         print("endpoint reconstruction: PASS")
         if args.json_out:
             _write_transcript_json(args.json_out, seg, scheme, transcript)
-        return EXIT_OK
+        return 0
     print("endpoint reconstruction: FAIL")
-    return EXIT_INCONSISTENT
+    return InconsistencyError.exit_code
 
 
 def _write_transcript_json(path, seg, scheme, transcript) -> None:
@@ -270,7 +257,7 @@ def _write_transcript_json(path, seg, scheme, transcript) -> None:
             for link, ciphertext in transcript.messages
         ],
     }
-    _write_file(path, json.dumps(payload, indent=2) + "\n")
+    _write_file(path, _json_text(payload))
 
 
 def _add_analyze(p: argparse.ArgumentParser) -> None:
@@ -279,7 +266,6 @@ def _add_analyze(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-auth", type=float, required=True)
     p.add_argument("--eps-qkd", type=float, required=True)
     p.add_argument("--mode", choices=("approx", "exact"), default="approx")
-    p.set_defaults(func=cmd_analyze)
 
 
 def _add_sweep(p: argparse.ArgumentParser) -> None:
@@ -292,7 +278,6 @@ def _add_sweep(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=20)
     p.add_argument("--c", type=int, default=3)
     p.add_argument("--p", type=float, default=0.01)
-    p.set_defaults(func=cmd_sweep)
 
 
 def _add_routes(p: argparse.ArgumentParser) -> None:
@@ -305,7 +290,6 @@ def _add_routes(p: argparse.ArgumentParser) -> None:
     mode.add_argument("--edges", action="store_true", help="emit edge list as CSV")
     p.add_argument("--cap", type=int, default=None,
                    help="route materialization cap (default 2^20 or QKDNET_ROUTE_CAP)")
-    p.set_defaults(func=cmd_routes)
 
 
 def _add_simulate(p: argparse.ArgumentParser) -> None:
@@ -317,12 +301,10 @@ def _add_simulate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--progress-csv", type=str, default=None,
                    help="write per-batch running estimates to this file")
-    p.set_defaults(func=cmd_simulate)
 
 
 def _add_optimize_c(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_optimize_c)
 
 
 def _add_demo_protocol(p: argparse.ArgumentParser) -> None:
@@ -337,74 +319,55 @@ def _add_demo_protocol(p: argparse.ArgumentParser) -> None:
                    help="flip one ciphertext bit to demonstrate FAIL detection")
     p.add_argument("--json-out", type=str, default=None,
                    help="write the transcript as JSON to this file")
-    p.set_defaults(func=cmd_demo_protocol)
 
 
-# Subcommand name -> (help, function adding its arguments), in the order
-# --help lists them.
+# Subcommand name -> (help, function adding its arguments, command), in the
+# order --help lists them.
 SUBCOMMANDS = {
-    "analyze": ("eps1/eps2/eps_qn security report as JSON", _add_analyze),
-    "sweep": ("parameter sweep as CSV on stdout", _add_sweep),
-    "routes": ("route count/enumeration/scheme as JSON", _add_routes),
-    "simulate": ("Monte Carlo attack trials as JSON", _add_simulate),
-    "optimize-c": ("optimal connection density as JSON", _add_optimize_c),
-    "demo-protocol": ("run one key-transport session", _add_demo_protocol),
+    "analyze": ("eps1/eps2/eps_qn security report as JSON", _add_analyze, cmd_analyze),
+    "sweep": ("parameter sweep as CSV on stdout", _add_sweep, cmd_sweep),
+    "routes": ("route count/enumeration/scheme as JSON", _add_routes, cmd_routes),
+    "simulate": ("Monte Carlo attack trials as JSON", _add_simulate, cmd_simulate),
+    "optimize-c": ("optimal connection density as JSON", _add_optimize_c, cmd_optimize_c),
+    "demo-protocol": ("run one key-transport session", _add_demo_protocol, cmd_demo_protocol),
 }
-
-
-class _TopLevelError(Exception):
-    """An error of a one-subcommand parser's top level, whose usage line
-    would list only that subcommand."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _TopLevelError(message)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The ``qkdnet`` argument parser.
 
     With no ``command``, every subcommand is added.  With a name from
-    SUBCOMMANDS, only that subcommand is: its own parser, help and errors
-    are the same as in the full parser, but an error at the top level
-    (such as unrecognized trailing arguments) raises ``_TopLevelError``
-    instead of printing a usage line that lists one subcommand, so that
-    the caller can parse again with the full parser.
+    SUBCOMMANDS, only that subcommand is, under the full parser's usage
+    line, so an argv that starts with that name gets the same help, error
+    messages and exit codes from either parser.
     """
-    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+    parser = argparse.ArgumentParser(
         prog="qkdnet",
         description="Security analysis of banded trusted-node QKD network segments.",
     )
-    # Subparsers report their own errors in either case.
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=argparse.ArgumentParser
-    )
+    # The full parser keeps no metavar: argparse would name the action by
+    # it, in place of "command", in its invalid-choice and missing-command
+    # errors.
+    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in SUBCOMMANDS if command is None else (command,):
-        help_text, add_arguments = SUBCOMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
+        help_text, add_arguments, func = SUBCOMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        add_arguments(subparser)
+        subparser.set_defaults(func=func)
     return parser
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    if argv and argv[0] in SUBCOMMANDS:
-        try:
-            return build_parser(argv[0]).parse_args(argv)
-        except _TopLevelError:
-            pass
-    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one ``qkdnet`` command; returns its exit code.
 
-    ``argv`` defaults to ``sys.argv[1:]``.  When its first word names a
-    subcommand, only that subcommand's parser is built.  Everything else
-    (no arguments, an option or ``--`` first, an unknown name), and any
-    top-level error of the one-subcommand parser, is parsed by the full
-    parser, so help, error messages and exit codes are the same either way.
+    ``argv`` defaults to ``sys.argv[1:]``, and it is parsed once.  When its
+    first word names a subcommand, only that subcommand's parser is built;
+    anything else (no arguments, an option or ``--`` first, an unknown
+    name) goes to the full parser.
     """
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except QkdNetError as exc:

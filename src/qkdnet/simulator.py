@@ -12,11 +12,12 @@ hit with probability p by an exact-Bernoulli draw on raw PCG64 bytes: it
 hits when its byte is below floor(256p), and a byte equal to floor(256p)
 is refined by one float64 compared with the fraction 256p - floor(256p)
 (the lazy binary-expansion comparison of Knuth and Yao).  A block holds
-at most ``BLOCK_BYTES`` of packed node and link words, and its rows are
-drawn in chunks of at most ``CHUNK_LANES`` lanes, so memory does not grow
-with ``trials``; only running counts carry over from one block to the
-next.  One sliding-window pass over the band scores both attacks.  See
-``run_trials`` for the draw order.
+at most ``BLOCK_BYTES`` of packed node and link words, or one word per row
+when a segment has more rows than that, and its rows are drawn in chunks
+of at most ``CHUNK_LANES`` lanes, so memory does not grow with ``trials``;
+only running counts carry over from one block to the next.  One
+sliding-window pass over the band scores both attacks.  See ``run_trials``
+for the draw order and the memory bound.
 
 ``node_attack_succeeds`` and ``link_attack_succeeds`` score one trial
 from explicit sets, by plain reachability.  ``run_trials`` does not call
@@ -66,15 +67,14 @@ def _has_run_of_c(seg: NetworkSegment, compromised: frozenset[int]) -> bool:
     return max_run_length(sorted(compromised)) >= seg.density
 
 
-def _has_clean_path(seg: NetworkSegment, blocked_nodes: frozenset[int]) -> bool:
-    """Forward reachability from node 1 to node N avoiding blocked nodes."""
+def _reaches_last(seg: NetworkSegment, is_open) -> bool:
+    """Forward reachability from node 1 to node N, taking the link from i
+    to j only where ``is_open(i, j)``."""
     reachable = [False] * (seg.n_nodes + 1)
     reachable[1] = True
     for j in range(2, seg.n_nodes + 1):
-        if j in blocked_nodes:
-            continue
         lo = max(j - seg.density, 1)
-        reachable[j] = any(reachable[i] for i in range(lo, j))
+        reachable[j] = any(reachable[i] and is_open(i, j) for i in range(lo, j))
     return reachable[seg.n_nodes]
 
 
@@ -86,7 +86,7 @@ def node_attack_succeeds(seg: NetworkSegment, compromised) -> bool:
     """
     compromised = CompromiseScenario.of(seg, nodes=compromised).compromised_nodes
     by_run = _has_run_of_c(seg, compromised)
-    by_path = not _has_clean_path(seg, compromised)
+    by_path = not _reaches_last(seg, lambda i, j: j not in compromised)
     if by_run != by_path:
         raise InconsistencyError(
             f"run-of-c check ({by_run}) disagrees with path check ({by_path}) "
@@ -98,14 +98,7 @@ def node_attack_succeeds(seg: NetworkSegment, compromised) -> bool:
 def link_attack_succeeds(seg: NetworkSegment, intercepted) -> bool:
     """True iff every first-to-last route contains an intercepted link."""
     intercepted = CompromiseScenario.of(seg, links=intercepted).intercepted_links
-    reachable = [False] * (seg.n_nodes + 1)
-    reachable[1] = True
-    for j in range(2, seg.n_nodes + 1):
-        lo = max(j - seg.density, 1)
-        reachable[j] = any(
-            reachable[i] and Link(i, j) not in intercepted for i in range(lo, j)
-        )
-    return not reachable[seg.n_nodes]
+    return not _reaches_last(seg, lambda i, j: Link(i, j) not in intercepted)
 
 
 def _draw_hits(rng: np.random.Generator, p: float, rows: int, words: int) -> np.ndarray:
@@ -198,10 +191,15 @@ def run_trials(
     probability ``p_link``): raw bytes in chunks of at most
     ``CHUNK_LANES`` lanes, each chunk followed by the floats that refine
     its ties; a probability of 0 or 1 draws nothing.  Bits past the last trial are drawn and scored but not
-    counted.  Memory is bounded by the block, ``BLOCK_BYTES`` (1 MB) of
-    packed words, plus about 3 bytes per lane of one chunk (1.5 MB) of
-    temporaries, and does not grow with ``trials``.  The running counts in
-    ``progress`` come from the same draw as the totals.
+    counted.  Memory does not grow with ``trials``.  Up to
+    ``BLOCK_BYTES // 8`` = 131,072 node and link rows it is bounded by the
+    block, ``BLOCK_BYTES`` (1 MB) of packed words, plus about 3 bytes per
+    lane of one chunk (1.5 MB) of temporaries.  Past that W stays 1, so
+    memory grows with the rows, N - 2 + c(2N - c - 1)/2, but stays below
+    24 bytes per row: the block's words, the copies that inverting them
+    makes, and the two reachability chains of ``_score_block`` (48 MB at
+    N = 1e6, c = 2).  The running counts in ``progress`` come from the
+    same draw as the totals.
     """
     check_probability(p_node, "p_node")
     check_probability(p_link, "p_link")

@@ -585,6 +585,14 @@ PARSER_CASES = [
     ["bogus"], ["analyz"], ["-"], ["-1"],
     *([name, "-h"] for name in SUBCOMMANDS),
     [*ANALYZE, "extra"],
+    # a valid argv with a trailing word is an error of the top-level parser
+    *([*argv.split(), "extra"] for argv in (
+        "sweep --param c --start 1 --stop 3 --points 3",
+        "routes --n 6 --c 2 --edges",
+        "simulate --n 6 --c 2 --trials 10 --seed 1",
+        "optimize-c --n 20",
+        "demo-protocol --n 4 --c 2",
+    )),
     ANALYZE[:-2],
     ["analyze", "--n", "twenty", *ANALYZE[3:]],
     [*ANALYZE, "--mode", "fast"],
@@ -613,6 +621,11 @@ def full_parser_main(argv):
 def test_main_matches_full_parser(capsys, argv):
     expected = outcome(full_parser_main, list(argv), capsys)
     assert outcome(main, list(argv), capsys) == expected
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_one_subcommand_parser_has_the_full_usage_line(name):
+    assert build_parser(name).format_usage() == build_parser().format_usage()
 
 
 def test_main_builds_only_the_invoked_subcommand(capsys, monkeypatch):
@@ -669,3 +682,35 @@ def test_analysis_commands_pinned_bytes(capsys):
         outputs.append(out)
     digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
     assert digest == PINNED_ANALYSIS_STDOUT
+
+
+# Commands whose output goes through the shared JSON and CSV writers, with
+# the option (if any) that names their output file.  The sha256 of each
+# stdout, followed by the file it wrote, in this order, was recorded before
+# the writers were merged.
+PINNED_WRITER_ARGV = [
+    ("simulate --n 20 --c 3 --p-node 0.6 --p-link 0.3 --trials 15 --seed 7",
+     "--progress-csv"),
+    ("simulate --n 10 --c 2 --p-node 1 --p-link 0.25 --trials 100 --seed 1",
+     "--progress-csv"),
+    ("simulate --n 40 --c 4 --p-node 0.5 --p-link 0.4 --trials 20000 --seed 11",
+     "--progress-csv"),
+    ("routes --n 9 --c 3 --edges", None),
+    ("routes --n 8 --c 3 --enumerate", None),
+    ("demo-protocol --n 9 --c 3 --key-len 13 --seed 4", "--json-out"),
+]
+PINNED_WRITER_BYTES = "e307afcddabe45cbcb42dcac7f14024f1e2b8ef2f09d9108b8206afaddda4ce9"
+
+
+def test_writer_commands_pinned_bytes(capsys, tmp_path):
+    digest = hashlib.sha256()
+    target = tmp_path / "out"
+    for line, file_option in PINNED_WRITER_ARGV:
+        argv = line.split() + ([file_option, str(target)] if file_option else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (line, err)
+        digest.update(out.encode())
+        if file_option:
+            digest.update(target.read_bytes())
+            target.unlink()
+    assert digest.hexdigest() == PINNED_WRITER_BYTES
