@@ -15,7 +15,8 @@ Importing the package loads none of its submodules.  Each exported name
 ``qkdnet.run_session`` loads ``qkdnet.protocol``, ``qkdnet.routes`` and
 hashlib.  ``qkdnet.cli`` loads only topology, combinatorics, security and
 errors up front, and imports the rest in the commands that use it.
-``epsilon2_exact`` imports numpy when it runs.
+The exact kernels import ``qkdnet.chains``, and ``epsilon2_exact`` numpy,
+when they run.
 """
 
 __version__ = "0.1.0"

@@ -300,7 +300,8 @@ def _add_simulate(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--progress-csv", type=str, default=None,
-                   help="write per-batch running estimates to this file")
+                   help="write the running estimates after each tenth of the "
+                        "trials to this file")
 
 
 def _add_optimize_c(p: argparse.ArgumentParser) -> None:

@@ -111,26 +111,29 @@ def epsilon2_exact(seg: NetworkSegment, eps_qkd: float) -> float:
     """Exact probability that independently intercepted links cover every
     route (no clean first-to-last path survives).
 
-    Computed in floats by a Markov chain over the reachability of the
-    trailing window of c nodes, newest node in bit 0: polynomial in N,
-    with 2^c states.  A node with r reachable predecessors in the window
-    is missed with probability q^r; the reached mass is formed as mass
-    minus missed mass, so each step conserves the mass up to one rounding
-    per state (a rounded 1 - q^r would instead move the same relative
-    error at every step).  The subtraction costs q^r / (1 - q^r) roundings
-    of the reached mass, which is large only for q near 1, where the
-    result, at least q^c with c <= MAX_WINDOW_DENSITY, is near 1 as well.
-    State 0 (nothing in the window reachable) is absorbing; its mass is
-    kept outside the array and summed with Neumaier's compensation, so
-    its rounding error does not grow with N.  The result agrees to 1e-12
-    relative with the exact rational window DP for N <= 40, q in [0, 1],
-    and with a 40-digit decimal run of the same chain for N <= 1e5 (the
-    tests gate both at 1e-12; the worst measured error at N = 1e5 is
-    5e-14).
+    Evaluated in floats by a Markov chain over the reachability of the
+    trailing window of c nodes (chains.ReachChain), with 2^c states.  A
+    node with r reachable predecessors in the window is missed with
+    probability q^r; the reached mass is formed as mass minus missed
+    mass, so each step conserves the mass up to one rounding per state.
+    The subtraction costs q^r / (1 - q^r) roundings of the reached mass,
+    which is large only for q near 1, where the result, at least q^c, is
+    near 1 as well.  State 0 (nothing in the window reachable) is
+    absorbing, and its mass is summed with Neumaier's compensation.  The
+    chain stops stepping once it has settled, under the stop rule and
+    error bound of p_success_exact; the closed form then adds the
+    remaining absorption and the surviving mass whose node N is
+    unreached (the second min cut: node N's in-links).
 
-    Time grows as N * 2^c.  Densities above MAX_WINDOW_DENSITY raise
-    CapExceededError before any state array is allocated.
+    The tests gate the result at 1e-12 relative against the exact
+    rational window DP for N <= 40, q in [0, 1], and a 40-digit decimal
+    run of the chain for N = 1e3, 1e4, 1e5 and at slow-mixing points
+    (worst measured 2.3e-16).  Time grows as 2^c times the steps taken,
+    which stop growing with N once the chain has settled.  Densities
+    above MAX_WINDOW_DENSITY raise CapExceededError before any state
+    array is allocated.
     """
+    check_float_size(seg.n_nodes, "N")
     check_probability(eps_qkd, "eps_qkd")
     c = seg.density
     if c > MAX_WINDOW_DENSITY:
@@ -140,33 +143,9 @@ def epsilon2_exact(seg: NetworkSegment, eps_qkd: float) -> float:
         )
     if eps_qkd == 0:
         return 0.0
-    import numpy as np
+    from . import chains
 
-    size = 1 << c
-    half = size >> 1
-    reach = np.zeros(1)
-    for _ in range(c):  # popcount of every state
-        reach = np.concatenate((reach, reach + 1))
-    miss = eps_qkd ** reach
-    mass = np.zeros(size)
-    mass[1] = 1.0  # only node 1 is reachable before the first step
-    dead = lost = 0.0  # Neumaier sum of state 0: dead + lost is the total
-    for _ in range(seg.n_nodes - 1):
-        missed = mass * miss
-        reached = mass - missed
-        # Shifting in the new node drops the oldest bit, which folds the
-        # upper half of the states onto the lower half; missing the new
-        # node from state `half` (only the oldest node reachable) is the
-        # one move into state 0.
-        mass = np.empty(size)
-        mass[0::2] = missed[:half] + missed[half:]
-        mass[1::2] = reached[:half] + reached[half:]
-        step = float(missed[half])
-        mass[0] = 0.0
-        total = dead + step
-        lost += (dead - total) + step if dead >= step else (step - total) + dead
-        dead = total
-    return dead + (lost + float(mass[2::2].sum()))
+    return chains.absorbed(chains.ReachChain(c, eps_qkd), seg.n_nodes - 1)
 
 
 def epsilon_qn(

@@ -2,6 +2,7 @@ import argparse
 import decimal
 import hashlib
 import json
+import math
 import os
 import resource
 import shlex
@@ -387,6 +388,27 @@ def test_optimize_c_prints_only_finite_numbers(n):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: N must be at most about 2.556e305, ")
+
+
+def test_analyze_exact_at_n_1e300_returns():
+    # The exact chains used to step N times; they now stop once settled.
+    proc = run_cli_fresh("analyze", "--n", str(10**300), "--c", "3", "--eps-auth", "1e-101",
+                         "--eps-qkd", "1e-3", "--mode", "exact")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout, parse_constant=reject_constant)
+    jsonschema.validate(payload, load_schema("analyze.schema.json"))
+    # about 1 - exp(-N p^c) with N p^c = 1e-3
+    assert payload["eps1_exact"] == pytest.approx(-math.expm1(-1e-3), rel=1e-9)
+
+
+def test_sweep_n_near_float_max_returns():
+    # This sweep never returned while the exact chain stepped N times.
+    proc = run_cli_fresh("sweep", "--param", "N", "--start", "1e300", "--stop", "2e300",
+                         "--points", "2")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header == "N,p_s_exact,p_s_approx,regime_valid"
+    assert [row.split(",")[1] for row in rows] == ["1", "1"]
 
 
 def test_optimize_c_factor_baseline(capsys):

@@ -1,7 +1,10 @@
-"""The float attack-probability kernels against the exact rational oracles
-and, at large N, against 40-digit decimal runs of their chains; and the
-guards that keep their cost bounded."""
+"""The float attack-probability kernels against the exact rational oracles,
+at large N against 40-digit decimal runs of their chains and, for eps1 up
+to N = 1e300, against Feller's success-runs asymptotic; the rule that stops
+the chains once they have settled; and the guards that keep their cost
+bounded."""
 
+import math
 import sys
 import time
 from fractions import Fraction
@@ -14,7 +17,13 @@ from rational_oracle import (
     p_success_rational,
 )
 
-from qkdnet import CapExceededError, epsilon2_exact, make_segment, p_success_exact
+from qkdnet import (
+    CapExceededError,
+    ValidationError,
+    epsilon2_exact,
+    make_segment,
+    p_success_exact,
+)
 from qkdnet.cli import main
 from qkdnet.security import MAX_WINDOW_DENSITY
 
@@ -69,6 +78,58 @@ def test_epsilon2_exact_matches_decimal_chain(n):
         assert_close(epsilon2_exact(make_segment(n, c), q), want, (n, c, q))
 
 
+# Slow-mixing chains: the stop rule needs 9 to 10 checks to settle here.
+@pytest.mark.parametrize("c, q", [(3, 0.5), (8, 0.3)])
+def test_epsilon2_exact_settles_where_mixing_is_slow(c, q):
+    n = 10**4
+    want = Fraction(epsilon2_decimal(n, c, q))
+    assert_close(epsilon2_exact(make_segment(n, c), q), want, (n, c, q))
+
+
+# Where the chain mixes fast, the first check that agrees with the one
+# before it (to about 2^-46 = 1.4e-14) leaves the state far closer to
+# settled than that, while the check before it may be just outside:
+# stopping one check early costs 6.6e-15 to 9.9e-15 here, against at most
+# 6.9e-16 for the rule.  The gate is a literal, so a looser rule fails it.
+@pytest.mark.parametrize("c, p", [(3, 0.01), (5, 0.1), (7, 0.2)])
+def test_p_success_exact_waits_for_agreement(c, p):
+    n = 3000
+    want = Fraction(p_success_decimal(n, c, p))
+    err = abs(Fraction(p_success_exact(n, c, p)) - want) / want
+    assert err <= 2e-15, (c, p, float(err))
+
+
+def p_success_feller(n_nodes: int, c: int, p: float) -> float:
+    """Feller's asymptotic for the chance of a run of c successes in
+    n = N - 2 Bernoulli(p) trials (An Introduction to Probability Theory,
+    vol. I, XIII.7): 1 - A x^-(n+1), with x = 1 + d the root nearest 1 of
+    d = (1 - p) p^c (1 + d)^(c + 1) and A = (1 - p d / (1 - p)) / (1 - c d).
+    The other roots contribute terms that vanish geometrically in n, far
+    below 1e-16 at the N it is used for.  The fixed point is found by
+    iteration, which converges where (c + 1) d / (1 + d) < 1."""
+    base = (1 - p) * p**c
+    d = 0.0
+    for _ in range(10_000):
+        d, prev = base * (1 + d) ** (c + 1), d
+        if d == prev:
+            break
+    else:
+        raise AssertionError(("no fixed point", c, p))
+    log_a = math.log1p(-p * d / (1 - p)) - math.log1p(-c * d)
+    return -math.expm1(log_a - (n_nodes - 1) * math.log1p(d))
+
+
+# For each N the grid puts N p^c at 1e-6, 1e-2, 1 and 5, where the
+# probability is neither 0 nor 1 in floats, besides fixed p values.
+@pytest.mark.parametrize("n", [10**6, 10**12, 10**300], ids=["1e6", "1e12", "1e300"])
+def test_p_success_exact_matches_feller_asymptotic(n):
+    for c in (1, 2, 3, 5, 8, 13):
+        scaled = [(t / n) ** (1 / c) for t in (1e-6, 1e-2, 1.0, 5.0)]
+        for p in (*scaled, 1e-6, 1e-3, 0.01, 0.1, 0.3):
+            want = p_success_feller(n, c, p)
+            assert abs(p_success_exact(n, c, p) - want) <= 1e-12 * want, (n, c, p)
+
+
 def test_exact_kernels_scale_polynomially():
     # The rational forms took 11.9 s and more than 9 minutes for these.
     start = time.perf_counter()
@@ -77,6 +138,25 @@ def test_exact_kernels_scale_polynomially():
     start = time.perf_counter()
     epsilon2_exact(make_segment(300, 10), 0.1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_exact_kernels_take_the_same_time_at_every_n():
+    # Stepping N times took about 1 s at N = 1e6 and never returned at 1e300.
+    n = 10**300
+    start = time.perf_counter()
+    p_success_exact(n, 5, 0.1)
+    assert time.perf_counter() - start < 1.0
+    start = time.perf_counter()
+    epsilon2_exact(make_segment(n, 8), 0.3)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exact_kernels_check_n_converts_to_float():
+    n = 10**400
+    with pytest.raises(ValidationError, match="finite float"):
+        p_success_exact(n, 5, 0.1)
+    with pytest.raises(ValidationError, match="finite float"):
+        epsilon2_exact(make_segment(n, 3), 0.1)
 
 
 def test_window_density_cap(capsys):

@@ -1,7 +1,7 @@
 """The import graph: a command loads only what it runs.  numpy is loaded
-by sweep, exact analysis and simulate, routes by routes and demo-protocol,
-protocol and hashlib by demo-protocol, and fractions and dataclasses by no
-command."""
+by sweep, exact analysis and simulate, the chain driver by sweep and exact
+analysis, routes by routes and demo-protocol, protocol and hashlib by
+demo-protocol, and fractions and dataclasses by no command."""
 
 import os
 import subprocess
@@ -32,12 +32,13 @@ def test_import_cli_loads_neither_numpy_nor_fractions():
     out = run_fresh(
         "import sys, qkdnet.cli\n"
         "print(sorted(m for m in ('numpy', 'fractions', 'dataclasses', 'hashlib',\n"
-        "    'qkdnet.routes', 'qkdnet.protocol', 'qkdnet.simulator') if m in sys.modules))"
+        "    'qkdnet.chains', 'qkdnet.routes', 'qkdnet.protocol', 'qkdnet.simulator')\n"
+        "    if m in sys.modules))"
     )
     assert out.strip() == "[]"
 
 
-NOT_ROUTES = ("numpy", "qkdnet.routes", "qkdnet.protocol", "hashlib")
+NOT_ROUTES = ("numpy", "qkdnet.chains", "qkdnet.routes", "qkdnet.protocol", "hashlib")
 
 
 @pytest.mark.parametrize(
