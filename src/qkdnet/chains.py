@@ -59,7 +59,9 @@ def absorbed(chain, steps: int) -> float:
     Steps are taken in blocks of max(chain.c, 8); at the end of a block
     whose shape agrees with the previous block's, the remaining steps are
     added in closed form.  A chain whose surviving mass is 0 stops at
-    once.
+    once.  The chains conserve mass only up to rounding, so a result near
+    1 can come out a few units of 2^-52 above it; the result is clamped
+    to 1.
     """
     step, every = chain.step, max(chain.c, 8)
     tol = SETTLED + chain.c * 2.0**-52
@@ -84,8 +86,9 @@ def absorbed(chain, steps: int) -> float:
             continue
         # log of the share of the mass that survives the remaining steps
         decay = steps * math.log1p(-chain.share(alive))
-        return dead + (lost + (alive * -math.expm1(decay) + math.exp(decay) * chain.end()))
-    return dead + (lost + chain.end())
+        tail = alive * -math.expm1(decay) + math.exp(decay) * chain.end()
+        return min(dead + (lost + tail), 1.0)
+    return min(dead + (lost + chain.end()), 1.0)
 
 
 class RunsChain:

@@ -53,18 +53,6 @@ def f_inclusion_exclusion(n_nodes: int, m: int, c: int) -> int:
     return total
 
 
-def max_run_length(positions) -> int:
-    """Longest run of consecutive integers in a sorted iterable."""
-    best = 0
-    run = 0
-    prev = None
-    for pos in positions:
-        run = run + 1 if prev is not None and pos == prev + 1 else 1
-        best = max(best, run)
-        prev = pos
-    return best
-
-
 def p_success_exact(n_nodes: int, c: int, p: float) -> float:
     """Exact attack success probability: the chance that some c consecutive
     of the N-2 interior nodes are all compromised, each independently with

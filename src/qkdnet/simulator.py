@@ -15,14 +15,15 @@ is refined by one float64 compared with the fraction 256p - floor(256p)
 at most ``BLOCK_BYTES`` of packed node and link words, or one word per row
 when a segment has more rows than that, and its rows are drawn in chunks
 of at most ``CHUNK_LANES`` lanes, so memory does not grow with ``trials``;
-only running counts carry over from one block to the next.  One
-sliding-window pass over the band scores both attacks.  See ``run_trials``
-for the draw order and the memory bound.
+only running counts carry over from one block to the next.  The node
+attack is scored by its definition, a run of c compromised interior
+nodes (``_node_verdicts``), and the link attack by one reachability chain
+over the band (``_link_verdicts``).  See ``run_trials`` for the draw order
+and the memory bound.
 
 ``node_attack_succeeds`` and ``link_attack_succeeds`` score one trial
-from explicit sets, by plain reachability.  ``run_trials`` does not call
-them; they stay as the scalar reference predicates that the tests check
-``_score_block`` and the protocol's adversary view against.
+from explicit sets: they validate the sets, mark them in a one-trial mask
+and call the same verdict functions as ``run_trials``.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import max_run_length
-from .errors import InconsistencyError, ValidationError, check_probability
-from .topology import CompromiseScenario, Link, NetworkSegment
+from .errors import ValidationError, check_probability
+from .topology import CompromiseScenario, NetworkSegment
 
 RNG_ALGORITHM = "numpy-pcg64"
 # Packed node and link words per trial block, in bytes (2^23 lanes), and
@@ -61,44 +61,6 @@ class TrialStats(NamedTuple):
         fields = self._asdict()
         del fields["progress"]
         return fields
-
-
-def _has_run_of_c(seg: NetworkSegment, compromised: frozenset[int]) -> bool:
-    return max_run_length(sorted(compromised)) >= seg.density
-
-
-def _reaches_last(seg: NetworkSegment, is_open) -> bool:
-    """Forward reachability from node 1 to node N, taking the link from i
-    to j only where ``is_open(i, j)``."""
-    reachable = [False] * (seg.n_nodes + 1)
-    reachable[1] = True
-    for j in range(2, seg.n_nodes + 1):
-        lo = max(j - seg.density, 1)
-        reachable[j] = any(reachable[i] and is_open(i, j) for i in range(lo, j))
-    return reachable[seg.n_nodes]
-
-
-def node_attack_succeeds(seg: NetworkSegment, compromised) -> bool:
-    """True iff c consecutive interior nodes are all compromised.
-
-    Both the run-of-c check and the path-based check are evaluated; they
-    must agree (this is a topology theorem, so disagreement means a bug).
-    """
-    compromised = CompromiseScenario.of(seg, nodes=compromised).compromised_nodes
-    by_run = _has_run_of_c(seg, compromised)
-    by_path = not _reaches_last(seg, lambda i, j: j not in compromised)
-    if by_run != by_path:
-        raise InconsistencyError(
-            f"run-of-c check ({by_run}) disagrees with path check ({by_path}) "
-            f"for {seg.to_dict()}, nodes {sorted(compromised)}"
-        )
-    return by_run
-
-
-def link_attack_succeeds(seg: NetworkSegment, intercepted) -> bool:
-    """True iff every first-to-last route contains an intercepted link."""
-    intercepted = CompromiseScenario.of(seg, links=intercepted).intercepted_links
-    return not _reaches_last(seg, lambda i, j: Link(i, j) not in intercepted)
 
 
 def _draw_hits(rng: np.random.Generator, p: float, rows: int, words: int) -> np.ndarray:
@@ -133,43 +95,68 @@ def _draw_hits(rng: np.random.Generator, p: float, rows: int, words: int) -> np.
     return out
 
 
-def _score_block(
-    seg: NetworkSegment, hits: np.ndarray, clean: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (node attack, link attack) verdicts of one block.
+def _node_verdicts(seg: NetworkSegment, hits: np.ndarray) -> np.ndarray:
+    """Per-trial node attack verdicts: set where some c consecutive
+    interior nodes are all compromised.
 
-    ``hits`` has one row per interior node 2..N-1, True where compromised;
-    ``clean`` has one row per link in ascending (dst, src) order, True
-    where not intercepted; columns are trials.  The masks are either bool
-    arrays, one trial per element, or ``uint64`` words, one trial per bit;
-    only bitwise operations are used, so the verdicts come back in the
-    same form.  One pass over the band
-    runs both forward reachability chains from node 1: node j is reached
-    when one of its (up to c) predecessors is reached and, in the node
-    chain, j is not compromised or, in the link chain, the link from that
-    predecessor is clean.  An attack succeeds where node N is not
-    reached.  Listing links by (dst, src) makes the in-links of j
-    consecutive rows, aligned with the predecessor rows.
+    ``hits`` has one row per interior node 2..N-1, set where compromised;
+    columns are trials, either bools, one trial per element, or ``uint64``
+    words, one trial per bit.  Row k of ``run`` starts as node k + c + 1
+    and takes c - 1 ANDs with the rows before it, so it ends as the AND of
+    the window of c nodes k + 2 .. k + c + 1; the verdict is the OR over
+    the N - c - 1 windows.  At c = N - 1 there is no window and the
+    verdict is 0.
+    """
+    c = seg.density
+    run = hits[c - 1 :].copy()
+    for shift in range(c - 1):
+        run &= hits[shift : shift + len(run)]
+    return np.bitwise_or.reduce(run, axis=0)
+
+
+def _link_verdicts(seg: NetworkSegment, clean: np.ndarray) -> np.ndarray:
+    """Per-trial link attack verdicts: set where no route from node 1 to
+    node N is clean.
+
+    ``clean`` has one row per link in ascending (dst, src) order, set
+    where not intercepted, in the column forms of ``_node_verdicts``.  A
+    forward reachability chain from node 1 reaches node j when the link
+    from one of its (up to c) reached predecessors is clean; listing links
+    by (dst, src) makes the in-links of j consecutive rows, aligned with
+    the predecessor rows.  The attack succeeds where node N is not
+    reached.
     """
     n, c = seg.n_nodes, seg.density
-    size = hits.shape[1]
-    safe = ~hits
+    size = clean.shape[1]
     # Row j-1 holds node j.
-    node_reach = np.empty((n, size), dtype=hits.dtype)
-    link_reach = np.empty((n, size), dtype=hits.dtype)
-    window = np.empty((c, size), dtype=hits.dtype)
-    node_reach[0] = link_reach[0] = ~hits.dtype.type(0)
+    reach = np.empty((n, size), dtype=clean.dtype)
+    window = np.empty((c, size), dtype=clean.dtype)
+    reach[0] = ~clean.dtype.type(0)
     row = 0
     for j in range(2, n + 1):
         lo = max(j - c, 1)
         k = j - lo
-        np.bitwise_or.reduce(node_reach[lo - 1 : j - 1], axis=0, out=node_reach[j - 1])
-        if j < n:
-            np.bitwise_and(node_reach[j - 1], safe[j - 2], out=node_reach[j - 1])
-        np.bitwise_and(link_reach[lo - 1 : j - 1], clean[row : row + k], out=window[:k])
-        np.bitwise_or.reduce(window[:k], axis=0, out=link_reach[j - 1])
+        np.bitwise_and(reach[lo - 1 : j - 1], clean[row : row + k], out=window[:k])
+        np.bitwise_or.reduce(window[:k], axis=0, out=reach[j - 1])
         row += k
-    return ~node_reach[n - 1], ~link_reach[n - 1]
+    return ~reach[n - 1]
+
+
+def node_attack_succeeds(seg: NetworkSegment, compromised) -> bool:
+    """True iff c consecutive interior nodes are all compromised."""
+    compromised = CompromiseScenario.of(seg, nodes=compromised).compromised_nodes
+    rows = (node in compromised for node in seg.interior_nodes)
+    hits = np.fromiter(rows, dtype=bool, count=seg.n_nodes - 2).reshape(-1, 1)
+    return bool(_node_verdicts(seg, hits)[0])
+
+
+def link_attack_succeeds(seg: NetworkSegment, intercepted) -> bool:
+    """True iff every first-to-last route contains an intercepted link."""
+    intercepted = CompromiseScenario.of(seg, links=intercepted).intercepted_links
+    n, c = seg.n_nodes, seg.density
+    rows = ((i, j) not in intercepted for j in range(2, n + 1) for i in range(max(j - c, 1), j))
+    clean = np.fromiter(rows, dtype=bool, count=seg.edge_count).reshape(-1, 1)
+    return bool(_link_verdicts(seg, clean)[0])
 
 
 def run_trials(
@@ -195,9 +182,10 @@ def run_trials(
     ``BLOCK_BYTES // 8`` = 131,072 node and link rows it is bounded by the
     block, ``BLOCK_BYTES`` (1 MB) of packed words, plus about 3 bytes per
     lane of one chunk (1.5 MB) of temporaries.  Past that W stays 1, so
-    memory grows with the rows, N - 2 + c(2N - c - 1)/2, but stays below
-    24 bytes per row: the block's words, the copies that inverting them
-    makes, and the two reachability chains of ``_score_block`` (48 MB at
+    memory grows with the rows, N - 2 + c(2N - c - 1)/2: 8 bytes per row
+    for the block's words and 8 bytes per node for the window ANDs of
+    ``_node_verdicts`` or the reachability chain of ``_link_verdicts``,
+    at most about 12 bytes per row, plus the chunk temporaries (32 MB at
     N = 1e6, c = 2).  The running counts in ``progress`` come from the
     same draw as the totals.
     """
@@ -224,7 +212,7 @@ def run_trials(
         # unpack the verdict words to one bool per trial, dropping spare bits
         auth, link = (
             np.unpackbits(v.view(np.uint8), count=size, bitorder="little").view(bool)
-            for v in _score_block(seg, hits, clean)
+            for v in (_node_verdicts(seg, hits), _link_verdicts(seg, clean))
         )
         while marks and marks[0] <= start + size:
             done = marks.pop(0) - start

@@ -92,11 +92,17 @@ class CompromiseScenario(NamedTuple):
     def of(seg: NetworkSegment, nodes=(), links=()) -> "CompromiseScenario":
         nodes = frozenset(nodes)
         links = frozenset(Link(*l) for l in links)
-        if not nodes <= set(seg.interior_nodes):
+        if not all(node in seg.interior_nodes for node in nodes):
             raise ValidationError(
                 f"compromised nodes must be interior (2..{seg.n_nodes - 1}), got {sorted(nodes)}"
             )
-        if not links <= set(seg.edges()):
+        # Range membership accepts the values that membership in a set of
+        # seg.edges() would, equal floats included, without building it.
+        n, c = seg.n_nodes, seg.density
+        if not all(
+            src in range(1, n) and dst in range(2, n + 1) and dst - src in range(1, c + 1)
+            for src, dst in links
+        ):
             raise ValidationError("intercepted links must be edges of the segment")
         return CompromiseScenario(nodes, links)
 

@@ -1,11 +1,14 @@
 """Exact oracles for the library's counts and attack probabilities.
 
-The probability oracles return a Fraction evaluated at Fraction(p), the
-exact value of the float argument, so a float kernel can be held to a
-relative error bound.  f_bruteforce counts run configurations by
-enumerating every subset, and f_generating_function counts them through
-the complement.  The decimal chains run the float kernels' recurrences
-at 40 significant digits, for N too large for the rational oracles.
+has_run_of_c and reaches_last score one trial by the definitions of
+the attacks: a run of c compromised interior nodes, and no clean route
+from the first node to the last.  The probability oracles return a
+Fraction evaluated at Fraction(p), the exact value of the float argument,
+so a float kernel can be held to a relative error bound.  f_bruteforce
+counts run configurations by enumerating every subset, and
+f_generating_function counts them through the complement.  The decimal
+chains run the float kernels' recurrences at 40 significant digits, for N
+too large for the rational oracles.
 """
 
 from __future__ import annotations
@@ -18,10 +21,38 @@ from itertools import combinations
 import numpy as np
 
 from qkdnet import CapExceededError
-from qkdnet.combinatorics import _check_nmc, binomial, f_inclusion_exclusion, max_run_length
+from qkdnet.combinatorics import _check_nmc, binomial, f_inclusion_exclusion
 from qkdnet.errors import ValidationError, check_probability
 
 DEFAULT_ENUM_CAP = 1 << 22
+
+
+def max_run_length(positions) -> int:
+    """Longest run of consecutive integers in a sorted iterable."""
+    best = 0
+    run = 0
+    prev = None
+    for pos in positions:
+        run = run + 1 if prev is not None and pos == prev + 1 else 1
+        best = max(best, run)
+        prev = pos
+    return best
+
+
+def has_run_of_c(seg, compromised) -> bool:
+    """True iff some c consecutive interior nodes are all in ``compromised``."""
+    return max_run_length(sorted(compromised)) >= seg.density
+
+
+def reaches_last(seg, is_open) -> bool:
+    """Forward reachability from node 1 to node N, taking the link from i
+    to j only where ``is_open(i, j)``."""
+    reachable = [False] * (seg.n_nodes + 1)
+    reachable[1] = True
+    for j in range(2, seg.n_nodes + 1):
+        lo = max(j - seg.density, 1)
+        reachable[j] = any(reachable[i] and is_open(i, j) for i in range(lo, j))
+    return reachable[seg.n_nodes]
 
 
 def f_bruteforce(n_nodes: int, m: int, c: int, cap: int = DEFAULT_ENUM_CAP) -> int:

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from rational_oracle import f_bruteforce, f_generating_function
+from rational_oracle import f_bruteforce, f_generating_function, has_run_of_c, reaches_last
 
 from qkdnet import (
     build_routing_scheme,
@@ -133,9 +133,10 @@ def test_criterion_4_predicate_equivalence():
                 interior = list(seg.interior_nodes)
                 for r in range(len(interior) + 1):
                     for subset in itertools.combinations(interior, r):
-                        # node_attack_succeeds raises InconsistencyError if
-                        # the run-of-c and clean-path checks disagree
-                        node_attack_succeeds(seg, subset)
+                        by_run = has_run_of_c(seg, subset)
+                        by_path = not reaches_last(seg, lambda i, j: j not in subset)
+                        assert by_run == by_path, (n, c, subset)
+                        assert node_attack_succeeds(seg, subset) == by_run, (n, c, subset)
     assert t.elapsed < 60
     report(4, "run-of-c <=> no clean path, N <= 12, c <= 4", t.elapsed, "1 min")
 

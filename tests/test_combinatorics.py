@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rational_oracle import (
     f_bruteforce,
     f_generating_function,
+    max_run_length,
     p_compromise_m,
     p_success_given_m,
 )
@@ -20,7 +21,7 @@ from qkdnet import (
     p_success_approx,
     p_success_exact,
 )
-from qkdnet.combinatorics import max_run_length, regime_bound
+from qkdnet.combinatorics import regime_bound
 
 
 def pascal(a, b):

@@ -151,6 +151,21 @@ def test_exact_kernels_take_the_same_time_at_every_n():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "kernel,args",
+    [
+        (p_success_exact, (2000, 5, 0.9)),
+        (p_success_exact, (10**300, 300, 0.99)),
+        (p_success_exact, (10**300, 50, 0.9)),
+        (epsilon2_exact, (make_segment(10**300, 16), 0.3)),
+    ],
+)
+def test_exact_kernels_never_exceed_one(kernel, args):
+    # Unclamped, rounding of the chain's mass put these a few units of
+    # 2^-52 above 1; each true value is within 2^-53 of 1.
+    assert kernel(*args) == 1.0
+
+
 def test_exact_kernels_check_n_converts_to_float():
     n = 10**400
     with pytest.raises(ValidationError, match="finite float"):

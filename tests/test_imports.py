@@ -38,6 +38,14 @@ def test_import_cli_loads_neither_numpy_nor_fractions():
     assert out.strip() == "[]"
 
 
+def test_import_simulator_loads_no_exact_kernel():
+    out = run_fresh(
+        "import sys, qkdnet.simulator\n"
+        "print([m for m in ('qkdnet.combinatorics', 'qkdnet.chains') if m in sys.modules])"
+    )
+    assert out.strip() == "[]"
+
+
 NOT_ROUTES = ("numpy", "qkdnet.chains", "qkdnet.routes", "qkdnet.protocol", "hashlib")
 
 

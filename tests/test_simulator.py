@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rational_oracle import has_run_of_c, reaches_last
 
 from qkdnet import (
     CompromiseScenario,
@@ -17,18 +18,27 @@ from qkdnet import (
     p_success_exact,
     run_trials,
 )
-from qkdnet.simulator import BLOCK_BYTES, CHUNK_LANES, _draw_hits, _score_block
+from qkdnet.simulator import (
+    BLOCK_BYTES,
+    CHUNK_LANES,
+    _draw_hits,
+    _link_verdicts,
+    _node_verdicts,
+)
 
 
-def oracle_clean_node_path(seg, compromised):
-    """Independent reachability check used to cross-validate the predicate."""
-    reach = {1}
-    for j in range(2, seg.n_nodes + 1):
-        if j in compromised and j != seg.n_nodes:
-            continue
-        if any(i in reach for i in range(max(j - seg.density, 1), j)):
-            reach.add(j)
-    return seg.n_nodes in reach
+def node_references(seg, compromised):
+    """The node attack by its two definitions: a run of c compromised
+    nodes, and no route from node 1 to node N through clean nodes."""
+    return (
+        has_run_of_c(seg, compromised),
+        not reaches_last(seg, lambda i, j: j not in compromised),
+    )
+
+
+def link_reference(seg, intercepted):
+    intercepted = set(intercepted)
+    return not reaches_last(seg, lambda i, j: (i, j) not in intercepted)
 
 
 def test_node_attack_examples():
@@ -52,11 +62,8 @@ def test_predicate_equivalence_exhaustive(n):
         interior = list(seg.interior_nodes)
         for r in range(len(interior) + 1):
             for subset in itertools.combinations(interior, r):
-                # node_attack_succeeds internally asserts run-check ==
-                # path-check; also compare against this test's own oracle
-                assert node_attack_succeeds(seg, subset) == (
-                    not oracle_clean_node_path(seg, set(subset))
-                )
+                by_run, by_path = node_references(seg, set(subset))
+                assert node_attack_succeeds(seg, subset) == by_run == by_path
 
 
 def test_link_attack_examples():
@@ -89,6 +96,48 @@ def test_scenario_validation():
         CompromiseScenario.of(seg, nodes={1})
     with pytest.raises(ValidationError):
         CompromiseScenario.of(seg, links={(1, 5)})
+
+
+@pytest.mark.parametrize(
+    "nodes,links,ok",
+    [
+        ({2.0}, (), True),
+        ({2.5}, (), False),
+        ({6}, (), False),
+        ((), {(1.0, 3.0)}, True),
+        ((), {(1, 2.5)}, False),
+        ((), {(2, 2)}, False),
+        ((), {(3, 2)}, False),
+        ((), {(0, 2)}, False),
+        ((), {(5, 7)}, False),
+        ((), {(2, 5)}, False),
+    ],
+)
+def test_scenario_membership_matches_edge_sets(nodes, links, ok):
+    seg = make_segment(6, 2)
+    interior, edges = set(seg.interior_nodes), set(seg.edges())
+    assert ok == (set(nodes) <= interior and {Link(*l) for l in links} <= edges)
+    if ok:
+        scenario = CompromiseScenario.of(seg, nodes=nodes, links=links)
+        assert scenario == (set(nodes), {Link(*l) for l in links})
+        return
+    message = (
+        r"^compromised nodes must be interior \(2\.\.5\)" if nodes
+        else "^intercepted links must be edges of the segment$"
+    )
+    with pytest.raises(ValidationError, match=message):
+        CompromiseScenario.of(seg, nodes=nodes, links=links)
+
+
+def test_scenario_check_builds_no_edge_list():
+    seg = make_segment(10**6, 3)
+    tracemalloc.start()
+    try:
+        CompromiseScenario.of(seg, nodes=[2], links=[(1, 2)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_trial_stats_dict_omits_progress():
@@ -157,6 +206,8 @@ def link_rows(seg):
 @given(n=st.integers(3, 12), data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_score_block_matches_predicates(n, data):
+    """The verdict kernels and the public predicates against the scalar
+    references, trial by trial."""
     c = data.draw(st.integers(1, n - 1))
     seg = make_segment(n, c)
     size = data.draw(st.integers(1, 6))
@@ -166,13 +217,15 @@ def test_score_block_matches_predicates(n, data):
         data.draw(st.lists(flags, min_size=seg.edge_count, max_size=seg.edge_count)),
         dtype=bool,
     )
-    auth, link = _score_block(seg, hits, clean)
+    auth, link = _node_verdicts(seg, hits), _link_verdicts(seg, clean)
     rows = link_rows(seg)
     for t in range(size):
         compromised = {node for node, hit in zip(seg.interior_nodes, hits[:, t]) if hit}
         intercepted = [l for l, ok in zip(rows, clean[:, t]) if not ok]
-        assert auth[t] == node_attack_succeeds(seg, compromised)
-        assert link[t] == link_attack_succeeds(seg, intercepted)
+        by_run, by_path = node_references(seg, compromised)
+        assert auth[t] == node_attack_succeeds(seg, compromised) == by_run == by_path
+        by_cut = link_reference(seg, intercepted)
+        assert link[t] == link_attack_succeeds(seg, intercepted) == by_cut
 
 
 def pack(masks):
@@ -196,11 +249,33 @@ def test_score_block_words_match_bools(n):
         size = 200
         hits = rng.random((n - 2, size)) < 0.5
         clean = rng.random((seg.edge_count, size)) < 0.6
-        auth, link = _score_block(seg, hits, clean)
-        auth_w, link_w = _score_block(seg, pack(hits), pack(clean))
+        auth, link = _node_verdicts(seg, hits), _link_verdicts(seg, clean)
+        auth_w, link_w = _node_verdicts(seg, pack(hits)), _link_verdicts(seg, pack(clean))
         assert auth_w.dtype == link_w.dtype == np.uint64
         assert np.array_equal(unpack(auth_w, size), auth)
         assert np.array_equal(unpack(link_w, size), link)
+
+
+@pytest.mark.parametrize("n,c", [(30, 2), (150, 8)])
+def test_verdict_words_match_references_at_benchmark_sizes(n, c):
+    # the smallest and largest segments that the simulate workload runs
+    seg, trials = make_segment(n, c), 300
+    words = -(-trials // 64)
+    rng = np.random.default_rng(n + c)
+    hits = _draw_hits(rng, 0.5, n - 2, words)
+    clean = ~_draw_hits(rng, 0.5, seg.edge_count, words)
+    auth = unpack(_node_verdicts(seg, hits), trials)
+    link = unpack(_link_verdicts(seg, clean), trials)
+    hit_lanes, clean_lanes = (
+        np.unpackbits(m.view(np.uint8), axis=1, bitorder="little").astype(bool)
+        for m in (hits, clean)
+    )
+    rows = link_rows(seg)
+    for t in range(trials):
+        compromised = {node for node, hit in zip(seg.interior_nodes, hit_lanes[:, t]) if hit}
+        intercepted = [l for l, ok in zip(rows, clean_lanes[:, t]) if not ok]
+        assert auth[t] == has_run_of_c(seg, compromised)
+        assert link[t] == link_reference(seg, intercepted)
 
 
 @pytest.mark.parametrize("p", [0.0, 1 / 256, 0.2, 0.5, 255.5 / 256, 1.0])
@@ -254,7 +329,7 @@ def replay_verdicts(seg, p_node, p_link, trials, seed):
         words = -(-size // 64)
         hits = _draw_hits(rng, p_node, seg.n_nodes - 2, words)
         clean = ~_draw_hits(rng, p_link, seg.edge_count, words)
-        a, l = _score_block(seg, hits, clean)
+        a, l = _node_verdicts(seg, hits), _link_verdicts(seg, clean)
         auth.append(unpack(a, size))
         link.append(unpack(l, size))
     return np.concatenate(auth), np.concatenate(link)
