@@ -195,6 +195,7 @@ def cmd_optimize_c(args) -> int:
 
 def cmd_demo_protocol(args) -> int:
     import hashlib
+    from itertools import accumulate
 
     from . import protocol, routes
 
@@ -217,14 +218,17 @@ def cmd_demo_protocol(args) -> int:
 
     print(f"segment n={args.n} c={args.c}: {scheme.route_count} routes, "
           f"{seg.edge_count} links, key_len={args.key_len}")
-    labels = [f"K{i}" for i in range(scheme.route_count + 1)]
+    # Every label, each after a space, in one text; label i starts at at[i],
+    # so each block of a bundle is one slice of the text.
+    labels = [f" K{i}" for i in range(scheme.route_count + 1)]
+    text, at = "".join(labels), [0, *accumulate(map(len, labels))]
     for i, (link, ciphertext) in enumerate(messages, start=1):
         bundle = scheme.per_link_bundles[link]
         nbits = len(bundle) * args.key_len
         digest = hashlib.blake2b(
             ciphertext.to_bytes(max((nbits + 7) // 8, 1), "big"), digest_size=8
         ).hexdigest()
-        ids = " ".join(map(labels.__getitem__, bundle))
+        ids = "".join(bundle.slices(text, at))[1:]
         print(f"message {i}: link {link.src}->{link.dst}  ({ids}) XOR k_{link.src}{link.dst}  digest={digest}")
 
     last = seg.n_nodes

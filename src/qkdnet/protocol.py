@@ -11,11 +11,15 @@ claim: the model assumes sufficient key material per link.  BLAKE2b is
 keyed once per link and its keyed state copied for each counter block,
 which gives the same digests as keying every block.
 
-When ``key_len % 8 == 0`` (the default 128 bits), messages are packed on
-bytes: each route key is converted to bytes once and a bundle is one
-``b"".join``.  Other lengths use the shift-or ``_concat_keys``; both paths
-give the same integers.  Plaintexts are split one way for every length,
-by ``_split_keys``.
+Messages are packed block by block: a block is a run of consecutive
+route ids (see ``routes.Bundle``), so its keys are one slice of the keys
+in id order.  When ``key_len % 8 == 0`` (the default 128 bits), the route
+keys are laid end to end in one byte buffer and a message is one
+``b"".join`` of one buffer slice per block.  Other lengths take the same
+slices of the key tuple and join the keys with the shift-or
+``_concat_keys``; both paths give the same integers.  The endpoint never
+splits a plaintext into keys: it needs only their XOR, which
+``_xor_keys`` folds out by halving.
 
 A session's messages carry sum(len(bundle)) * key_len bits, which grows
 with the route count; ``check_session`` refuses more than
@@ -26,10 +30,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import CapExceededError, ValidationError
-from .routes import RoutingScheme, bundle_id_total
+from .routes import Bundle, RoutingScheme, bundle_id_total
 from .topology import CompromiseScenario, Link, NetworkSegment
 
 # Longest key, in bits (8 KiB); every route key and link key has key_len bits.
@@ -38,9 +43,10 @@ MAX_KEY_LEN = 1 << 16
 # the total bundle size times key_len.  The largest benchmark session,
 # N = 20, c = 2 at 128 bits, carries 12.0 Mbit.  The cap bounds message
 # bits, not memory: with 128-bit keys, building the scheme and running the
-# session peaked (tracemalloc) at 6.4 MB at (20, 2) and 18.3 MB at (22, 2),
-# about 4.2 bytes per message byte, mostly the scheme's int ids, so a
-# session just under the cap would peak near 0.56 GB (extrapolated).
+# session peaked (tracemalloc) at 3.1 MB at (20, 2), 8.4 MB at (22, 2) and
+# 23.2 MB at (24, 2), about 2 bytes per message byte, half of it the
+# ciphertexts, so a session just under the cap would peak near 0.25 GB
+# (extrapolated).
 MAX_SESSION_BITS = 1 << 30
 
 
@@ -106,27 +112,27 @@ def _concat_keys(keys: list[int], key_len: int) -> int:
     return parts[0]
 
 
-def _split_keys(value: int, count: int, key_len: int) -> list[int]:
-    """The low ``count`` keys of ``value``, most significant first.
+def _xor_keys(value: int, count: int, key_len: int) -> int:
+    """The XOR of the ``count`` keys that ``value`` packs as ``_concat_keys``
+    does; ``value`` has no bits above them.
 
-    The inverse of ``_concat_keys``, by halving: each round splits every
-    part into its high and low halves, and the padding parts in front
-    are dropped at the end.
+    By halving: XORing the high keys onto the low ones keeps the XOR of
+    all of them, so each round is two big-integer operations, not one
+    per key.
     """
-    rounds = max(count - 1, 0).bit_length()
-    parts = [value & ((1 << (count * key_len)) - 1)]
-    width = key_len << rounds
-    for _ in range(rounds):
-        width >>= 1
-        mask = (1 << width) - 1
-        parts = [half for part in parts for half in (part >> width, part & mask)]
-    return parts[len(parts) - count :]
+    while count > 1:
+        width = count // 2 * key_len
+        value = (value >> width) ^ (value & ((1 << width) - 1))
+        count -= count // 2
+    return value
 
 
-def _join_key_bytes(key_bytes: list[bytes], bundle: tuple[int, ...]) -> int:
+def _join_key_bytes(key_buffer: bytes, at: list[int], bundle: Bundle) -> int:
     """The bundle's keys packed as by ``_concat_keys``, from byte-aligned
-    keys; ``key_bytes[i]`` is route key i, so index 0 is unused."""
-    return int.from_bytes(b"".join(map(key_bytes.__getitem__, bundle)), "big")
+    keys laid end to end in id order: route key i is
+    ``key_buffer[at[i]:at[i + 1]]``.  Each block of the bundle is one
+    slice of the buffer."""
+    return int.from_bytes(b"".join(bundle.slices(key_buffer, at)), "big")
 
 
 def check_session(seg: NetworkSegment, key_len: int, seed: int) -> None:
@@ -157,24 +163,31 @@ def run_session(
 
     Refuses what ``check_session`` refuses, the material cap included.
     When ``key_len % 8 == 0`` each route key is converted to bytes once
-    and every bundle is packed by joining bytes; otherwise by
-    ``_concat_keys``.  Both give the same plaintext integers.
+    and every bundle is packed by joining one slice of them per block;
+    otherwise by ``_concat_keys``.  Both give the same plaintext integers.
     """
     if scheme.segment != seg:
         raise ValidationError("routing scheme was built for a different segment")
     check_session(seg, key_len, seed)
     rng = random.Random(seed)
     link_keys = {link: rng.getrandbits(key_len) for link in seg.edges()}
-    route_keys = tuple(rng.getrandbits(key_len) for _ in range(scheme.route_count))
+    route_keys = tuple(map(rng.getrandbits, repeat(key_len, scheme.route_count)))
 
+    # Route id i's key sits at [at[i], at[i + 1]) of a sequence of every
+    # key in id order, with room for an unused id 0 in front.
     if key_len % 8:
+        keys_by_id = (0, *route_keys)
+        at = range(len(keys_by_id) + 1)
         def pack(bundle):
-            return _concat_keys([route_keys[i - 1] for i in bundle], key_len)
+            keys = list(chain.from_iterable(bundle.slices(keys_by_id, at)))
+            return _concat_keys(keys, key_len)
     else:
         kb = key_len // 8
-        key_bytes = [b"", *(key.to_bytes(kb, "big") for key in route_keys)]
+        key_bytes = map(int.to_bytes, route_keys, repeat(kb), repeat("big"))
+        key_buffer = b"".join([bytes(kb), *key_bytes])
+        at = list(range(0, len(key_buffer) + kb, kb))
         def pack(bundle):
-            return _join_key_bytes(key_bytes, bundle)
+            return _join_key_bytes(key_buffer, at, bundle)
 
     messages = []
     for link in seg.edges():
@@ -200,29 +213,34 @@ def reconstruct_at_endpoint(
     """Recover the final key at node N from the messages addressed to it.
 
     The in-link bundles of node N partition the route indices, so the
-    endpoint's own link keys suffice.  A missing link key, a ciphertext of
-    the wrong bit length or route ids left uncovered are ValidationErrors.
-    Each plaintext is split by ``_split_keys``, whatever the key length.
+    endpoint's own link keys suffice, and the route ids are covered when
+    every in-link of N has sent a message.  A scheme built for another
+    segment, a missing link key, a ciphertext of the wrong bit length or
+    route ids left uncovered are ValidationErrors.  Where a link sent more
+    than one message, its last one counts.  Each plaintext is reduced to
+    the XOR of its keys by ``_xor_keys``, whatever the key length.
     """
+    if scheme.segment != seg:
+        raise ValidationError("routing scheme was built for a different segment")
     key_len = transcript.key_len
     if not 1 <= key_len <= MAX_KEY_LEN:
         raise ValidationError(f"key_len must be in [1, {MAX_KEY_LEN}], got {key_len}")
-    recovered: dict[int, int] = {}
+    xor_by_link: dict[Link, int] = {}
     for link, ciphertext in transcript.messages:
         if link.dst != seg.n_nodes:
             continue
         if link not in link_keys_of_last_node:
             raise ValidationError(f"missing link key for {link}")
-        bundle = scheme.per_link_bundles[link]
-        nbits = len(bundle) * key_len
+        count = len(scheme.per_link_bundles[link])
+        nbits = count * key_len
         if ciphertext < 0 or ciphertext >> nbits:
             raise ValidationError(f"ciphertext on {link} has wrong bit length")
         plaintext = ciphertext ^ _keystream(link_keys_of_last_node[link], key_len, nbits)
-        recovered.update(zip(bundle, _split_keys(plaintext, len(bundle), key_len)))
-    if set(recovered) != set(range(1, scheme.route_count + 1)):
+        xor_by_link[link] = _xor_keys(plaintext, count, key_len)
+    if sum(len(scheme.per_link_bundles[link]) for link in xor_by_link) != scheme.route_count:
         raise ValidationError("transcript does not cover every route key")
     final_key = 0
-    for key in recovered.values():
+    for key in xor_by_link.values():
         final_key ^= key
     return final_key
 

@@ -3,13 +3,19 @@
 First-to-last routes in an (N, c) segment are exactly the compositions of
 N-1 into parts of size 1..c, so their number is the N-th c-annacci number
 (the order-c generalization of the Fibonacci sequence).
+
+The routing scheme gives each link a ``Bundle``: the ascending ids of the
+routes through it, stored as runs of consecutive ids that all have the
+same length, so that a bundle takes one machine word per run rather than
+one int object per id.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import cycle, islice
-from typing import NamedTuple
+from array import array
+from itertools import chain, cycle, islice
+from typing import Iterator, NamedTuple
 
 from .errors import CapExceededError, ValidationError
 from .topology import Link, NetworkSegment, make_segment
@@ -38,11 +44,59 @@ class RouteSet(NamedTuple):
     count: int
 
 
+class Bundle:
+    """The ascending route ids (1-based) carried on one link, as blocks of
+    ``width`` consecutive ids, one block from each id in ``starts``.
+
+    A read-only sequence of ints (``len``, iteration and indexing) that
+    compares equal to the tuple of its ids.  ``slices`` reads it one block
+    at a time, which is how the protocol and the CLI use it.
+    """
+
+    __slots__ = ("starts", "width")
+
+    def __init__(self, starts: array, width: int):
+        self.starts = starts
+        self.width = width
+
+    def slices(self, data, at) -> list:
+        """One slice of ``data`` per block, in order, where route id i's
+        part of ``data`` begins at ``at[i]`` and ends where id i + 1's
+        begins: the block of ids start .. stop - 1 is
+        ``data[at[start]:at[stop]]``."""
+        width = self.width
+        return [data[at[start] : at[start + width]] for start in self.starts]
+
+    def __len__(self) -> int:
+        return len(self.starts) * self.width
+
+    def __iter__(self) -> Iterator[int]:
+        width = self.width
+        return chain.from_iterable(range(start, start + width) for start in self.starts)
+
+    def __getitem__(self, index: int) -> int:
+        block, offset = divmod(range(len(self))[index], self.width)
+        return self.starts[block] + offset
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Bundle, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __add__(self, other) -> tuple[int, ...]:
+        if isinstance(other, (Bundle, tuple)):
+            return tuple(self) + tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Bundle(starts={self.starts!r}, width={self.width})"
+
+
 class RoutingScheme(NamedTuple):
-    """Map of each link to the ascending route indices (1-based) carried on it."""
+    """Map of each link to the ``Bundle`` of route ids carried on it."""
 
     segment: NetworkSegment
-    per_link_bundles: dict[Link, tuple[int, ...]]
+    per_link_bundles: dict[Link, Bundle]
     route_count: int
 
 
@@ -88,13 +142,23 @@ def bundle_id_total(seg: NetworkSegment) -> int:
     """Exact total bundle size, sum(len(bundle)), of the segment's routing
     scheme, without building it.
 
-    A route through link (a, b) is a prefix 1 -> ... -> a, the hop and a
-    tail b -> ... -> N, so the link carries counts[a - 1] * counts[N - b]
-    route ids.
+    Each route is in the bundle of each of its links, so the total is
+    G(N - 1), the number of parts over all compositions of N - 1 into
+    parts of size 1..c.  With F(m) the number of those compositions (as in
+    ``_composition_count``), G(m) = sum over the last part k of
+    G(m - k) + F(m - k).  Only the last c pairs are kept: O(c * N) bits.
     """
-    n = seg.n_nodes
-    counts = _composition_counts(n - 1, seg.density)
-    return sum(counts[a - 1] * counts[n - b] for a, b in seg.edges())
+    c = seg.density
+    counts, parts = [0] * c, [0] * c  # F(d) and G(d) at index d % c
+    counts[0] = 1
+    count_total, part_total = 1, 0  # sums of the two rings
+    for i in islice(cycle(range(c)), 1, seg.n_nodes):
+        # i = d % c; the rings still hold F and G at d - c
+        new_count, new_parts = count_total, part_total + count_total
+        count_total += new_count - counts[i]
+        part_total += new_parts - parts[i]
+        counts[i], parts[i] = new_count, new_parts
+    return parts[(seg.n_nodes - 1) % c]
 
 
 def check_route_cap(count: int, cap: int | None) -> None:
@@ -171,19 +235,15 @@ def build_routing_scheme(seg: NetworkSegment, cap: int | None = None) -> Routing
     # first[v]: the first route id of each prefix 1 -> ... -> v
     first: list[list[int]] = [[] for _ in range(n + 1)]
     first[1].append(1)
-    bundles: dict[Link, tuple[int, ...]] = {}
+    bundles: dict[Link, Bundle] = {}
     for a in range(1, n):
         prefixes = sorted(first[a])
         offset = 0
         for b in range(a + 1, min(a + c, n) + 1):
-            width = tail[b]
             starts = [start + offset for start in prefixes]
-            ids: list[int] = []
-            for start in starts:
-                ids += range(start, start + width)
-            bundles[Link(a, b)] = tuple(ids)
+            bundles[Link(a, b)] = Bundle(array("q", starts), tail[b])
             first[b] += starts
-            offset += width
+            offset += tail[b]
     return RoutingScheme(segment=seg, per_link_bundles=bundles, route_count=counts[-1])
 
 

@@ -92,19 +92,31 @@ class CompromiseScenario(NamedTuple):
     def of(seg: NetworkSegment, nodes=(), links=()) -> "CompromiseScenario":
         nodes = frozenset(nodes)
         links = frozenset(Link(*l) for l in links)
-        if not all(node in seg.interior_nodes for node in nodes):
+        if not all(_in_range(node, seg.interior_nodes) for node in nodes):
             raise ValidationError(
                 f"compromised nodes must be interior (2..{seg.n_nodes - 1}), got {sorted(nodes)}"
             )
-        # Range membership accepts the values that membership in a set of
-        # seg.edges() would, equal floats included, without building it.
+        # Accepts the values that membership in a set of seg.edges() would,
+        # equal floats included, without building it.
         n, c = seg.n_nodes, seg.density
         if not all(
-            src in range(1, n) and dst in range(2, n + 1) and dst - src in range(1, c + 1)
+            _in_range(src, range(1, n)) and _in_range(dst, range(2, n + 1))
+            and _in_range(dst - src, range(1, c + 1))
             for src, dst in links
         ):
             raise ValidationError("intercepted links must be edges of the segment")
         return CompromiseScenario(nodes, links)
+
+
+def _in_range(value, members: range) -> bool:
+    """``value in members`` in O(1) for every value: it holds when value
+    equals one of the ints in ``members``.  ``in`` itself is O(1) only for
+    ints, and compares any other value (2.0, 2.5) with every member."""
+    try:
+        whole = int(value.real)
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        return False
+    return whole == value and whole in members
 
 
 def make_segment(n_nodes: int, density: int) -> NetworkSegment:

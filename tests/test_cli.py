@@ -13,6 +13,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from test_routes import DEMO_SEGMENTS
 
 import qkdnet
 from qkdnet.cli import SUBCOMMANDS, build_parser, main
@@ -447,6 +448,23 @@ def test_demo_protocol_pinned_bytes(capsys, args):
     code, out, _ = run_cli(capsys, "demo-protocol", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEMO_STDOUT[args]
+
+
+# sha256 of the stdout of demo-protocol at each of the benchmark's segments,
+# with seed i for the i-th, concatenated in that order; recorded before
+# bundles were stored as blocks of consecutive ids.
+PINNED_BENCH_DEMO_STDOUT = "5f1fa391bc6bd948fe4817de51949b6d19be63c0a3c8cbf604bb45c6d21c8b73"
+
+
+def test_demo_protocol_at_benchmark_sizes_pinned_bytes(capsys):
+    digest = hashlib.sha256()
+    for seed, (n, c) in enumerate(DEMO_SEGMENTS):
+        code, out, err = run_cli(
+            capsys, "demo-protocol", "--n", str(n), "--c", str(c), "--seed", str(seed)
+        )
+        assert code == 0, err
+        digest.update(out.encode())
+    assert digest.hexdigest() == PINNED_BENCH_DEMO_STDOUT
 
 
 # sha256 of stdout, recorded before messages were packed and split on bytes:

@@ -1,6 +1,10 @@
+import functools
 import hashlib
 import itertools
+import operator
 import random
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -19,11 +23,13 @@ from qkdnet import (
 )
 from qkdnet.protocol import (
     SessionTranscript,
+    check_session,
     _concat_keys,
     _join_key_bytes,
     _keystream,
-    _split_keys,
+    _xor_keys,
 )
+from qkdnet.routes import Bundle
 
 
 def session(n, c, key_len=32, seed=11):
@@ -204,6 +210,10 @@ def reference_split_keys(value, count, key_len):
     return [(value >> (key_len * (count - 1 - i))) & mask for i in range(count)]
 
 
+def xor_all(keys):
+    return functools.reduce(operator.xor, keys, 0)
+
+
 @pytest.mark.parametrize("key_len", [1, 7, 8, 127, 128, 129])
 def test_key_packing_matches_shift_or_reference(key_len):
     rng = random.Random(key_len)
@@ -211,12 +221,8 @@ def test_key_packing_matches_shift_or_reference(key_len):
         keys = [rng.getrandbits(key_len) for _ in range(count)]
         packed = _concat_keys(keys, key_len)
         assert packed == reference_concat_keys(keys, key_len)
-        assert _split_keys(packed, count, key_len) == keys
-        # bits above count * key_len are ignored, as by the reference
-        noisy = packed | (rng.getrandbits(40) << (count * key_len))
-        assert _split_keys(noisy, count, key_len) == reference_split_keys(
-            noisy, count, key_len
-        )
+        assert reference_split_keys(packed, count, key_len) == keys
+        assert _xor_keys(packed, count, key_len) == xor_all(keys)
 
 
 def gapped_bundles(route_count, rng):
@@ -233,18 +239,25 @@ def gapped_bundles(route_count, rng):
 @pytest.mark.parametrize("key_len", [8, 16, 64, 128, 1024])
 def test_byte_packing_matches_shift_or_packing(key_len):
     # The byte path of run_session must give the integers of _concat_keys,
-    # and _split_keys, which reconstruct_at_endpoint uses for every key
-    # length, must invert it.
+    # and _xor_keys, which reconstruct_at_endpoint uses for every key
+    # length, must give the XOR of the packed keys.  A gapped id tuple is
+    # packed as a bundle of one-id blocks.
     rng = random.Random(key_len)
     scheme = build_routing_scheme(make_segment(12, 4))
     route_keys = [rng.getrandbits(key_len) for _ in range(scheme.route_count)]
-    key_bytes = [b"", *(key.to_bytes(key_len // 8, "big") for key in route_keys)]
-    bundles = [*scheme.per_link_bundles.values(), *gapped_bundles(scheme.route_count, rng)]
+    kb = key_len // 8
+    key_buffer = b"".join([bytes(kb), *(key.to_bytes(kb, "big") for key in route_keys)])
+    at = list(range(0, len(key_buffer) + kb, kb))
+    bundles = [
+        *scheme.per_link_bundles.values(),
+        *(Bundle(array("q", ids), 1) for ids in gapped_bundles(scheme.route_count, rng)),
+    ]
     for bundle in bundles:
         keys = [route_keys[i - 1] for i in bundle]
-        packed = _join_key_bytes(key_bytes, bundle)
+        packed = _join_key_bytes(key_buffer, at, bundle)
         assert packed == _concat_keys(keys, key_len) == reference_concat_keys(keys, key_len)
-        assert _split_keys(packed, len(bundle), key_len) == keys
+        assert reference_split_keys(packed, len(bundle), key_len) == keys
+        assert _xor_keys(packed, len(bundle), key_len) == xor_all(keys)
 
 
 @pytest.mark.parametrize("key_len", [256, 512, 1024])
@@ -283,6 +296,26 @@ def test_reconstruct_rejects_uncovered_route_ids(key_len):
         reconstruct_at_endpoint(seg, scheme, partial, endpoint_keys(seg, keys))
 
 
+def test_reconstruct_rejects_scheme_of_other_segment():
+    seg, scheme, keys, transcript, final_key = session(6, 2)
+    other = build_routing_scheme(make_segment(7, 2))
+    with pytest.raises(ValidationError, match="built for a different segment"):
+        reconstruct_at_endpoint(seg, other, transcript, endpoint_keys(seg, keys))
+
+
+@pytest.mark.parametrize("key_len", [5, 8])
+def test_reconstruct_takes_the_last_message_of_a_link(key_len):
+    # An endpoint message sent twice: a corrupted copy, then the right one.
+    seg, scheme, keys, transcript, final_key = session(7, 3, key_len=key_len)
+    link, ciphertext = transcript.messages[-1]
+    assert link.dst == seg.n_nodes
+    messages = (*transcript.messages[:-1], (link, ciphertext ^ 1), (link, ciphertext))
+    resent = SessionTranscript(messages=messages, key_len=key_len)
+    assert reconstruct_at_endpoint(seg, scheme, resent, endpoint_keys(seg, keys)) == final_key
+    swapped = SessionTranscript(messages=messages[:-2] + messages[:-3:-1], key_len=key_len)
+    assert reconstruct_at_endpoint(seg, scheme, swapped, endpoint_keys(seg, keys)) != final_key
+
+
 def test_negative_seed_rejected():
     seg = make_segment(6, 2)
     with pytest.raises(ValidationError, match="seed must be >= 0, got -3"):
@@ -299,3 +332,33 @@ def test_session_material_cap(monkeypatch):
     run_session(seg, scheme, 8, 0)
     with pytest.raises(CapExceededError, match=f"session key material {ids * 9} bits"):
         run_session(seg, scheme, 9, 0)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_session_memory_at_the_largest_benchmark_segment():
+    # Building the scheme and running the session at (20, 2), 1.5 MB of
+    # messages, peaked at 6.4 MB when every bundle id was an int, and at
+    # 3.1 MB with bundles stored as blocks.
+    def run():
+        seg = make_segment(20, 2)
+        run_session(seg, build_routing_scheme(seg), 128, 0)
+
+    assert traced_peak(run) < 4 * 2**20
+
+
+def test_material_check_keeps_only_the_last_counts():
+    # The total bundle size at N = 1e4 has about 7,000 bits; keeping every
+    # intermediate count took 7.4 MB here.
+    def check():
+        with pytest.raises(CapExceededError, match="session key material"):
+            check_session(make_segment(10**4, 2), 128, 0)
+
+    assert traced_peak(check) < 2**18

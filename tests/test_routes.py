@@ -1,4 +1,5 @@
 import itertools
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from qkdnet import (
     make_segment,
     min_link_cut_size,
 )
-from qkdnet.routes import _composition_counts, bundle_id_total
+from qkdnet.routes import Bundle, _composition_counts, bundle_id_total
 
 
 def brute_route_count(n, c):
@@ -135,9 +136,49 @@ def test_bundle_id_total_matches_built_scheme(n, c):
     assert bundle_id_total(seg) == sum(map(len, scheme.per_link_bundles.values()))
 
 
+def link_product_total(seg):
+    """Total bundle size as a sum over the links (a, b): a route through the
+    link is a prefix 1 -> ... -> a, the hop, and a tail b -> ... -> N."""
+    n = seg.n_nodes
+    counts = _composition_counts(n - 1, seg.density)
+    return sum(counts[a - 1] * counts[n - b] for a, b in seg.edges())
+
+
+def test_bundle_id_total_matches_link_products():
+    for n in range(3, 40):
+        for c in range(1, n):
+            seg = make_segment(n, c)
+            assert bundle_id_total(seg) == link_product_total(seg), (n, c)
+
+
 def test_bundle_id_total_beyond_built_schemes():
     assert bundle_id_total(make_segment(24, 2)) == 777_432
     assert bundle_id_total(make_segment(30, 2)) == 17_562_870
+
+
+@pytest.mark.parametrize("n,c", [(3, 1), (6, 2), (9, 3), (12, 4)])
+def test_bundle_is_a_read_only_sequence_equal_to_its_id_tuple(n, c):
+    scheme = build_routing_scheme(make_segment(n, c))
+    last = scheme.route_count + 1
+    for bundle in scheme.per_link_bundles.values():
+        ids = tuple(bundle)
+        assert list(ids) == sorted(set(ids)) and 1 <= ids[0] and ids[-1] < last
+        assert len(bundle) == len(ids)
+        assert bundle == ids and ids == bundle
+        assert bundle == Bundle(array("q", ids), 1)
+        assert bundle != list(ids) and bundle != ids[:-1] and bundle != (*ids, last)
+        assert [bundle[i] for i in range(-len(ids), len(ids))] == [*ids, *ids]
+        with pytest.raises(IndexError):
+            bundle[len(ids)]
+        assert bundle + (last,) == (*ids, last)
+        with pytest.raises(TypeError):
+            hash(bundle)
+        # each block is one slice: of the ids themselves, and of a sequence
+        # holding three items per id
+        blocks = bundle.slices(range(last + 1), range(last + 1))
+        assert [i for block in blocks for i in block] == list(ids)
+        tripled = bundle.slices([i // 3 for i in range(3 * last + 3)], range(0, 3 * last + 3, 3))
+        assert [i for block in tripled for i in block[::3]] == list(ids)
 
 
 def test_routing_scheme_cap():

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,15 @@ def test_scenario_validation():
         ((), {(0, 2)}, False),
         ((), {(5, 7)}, False),
         ((), {(2, 5)}, False),
+        ({2 + 0j}, (), True),
+        ({3 + 1j}, (), False),
+        ({"3"}, (), False),
+        ({float("nan")}, (), False),
+        ({float("inf")}, (), False),
+        ({True}, (), False),
+        ((), {(True, 2)}, True),
+        ((), {(1.5, 2.5)}, False),
+        ((), {("1", "2")}, False),
     ],
 )
 def test_scenario_membership_matches_edge_sets(nodes, links, ok):
@@ -138,6 +148,21 @@ def test_scenario_check_builds_no_edge_list():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_scenario_check_is_o1_for_values_that_are_not_ints():
+    # Range membership scans the range for a float, up to the member it
+    # equals: it took about 0.6 s for each node below and 1.3 s for each
+    # link at this N.
+    seg = make_segment(10**7, 3)
+    for nodes, links in (([2.5], ()), ([9_999_998.0], ()), ((), [(9_999_997.0, 9_999_999.0)]),
+                         ((), [(9_999_997.0, 10_000_000.5)])):
+        start = time.process_time()
+        try:
+            CompromiseScenario.of(seg, nodes=nodes, links=links)
+        except ValidationError:
+            pass
+        assert time.process_time() - start < 0.05, (nodes, links)
 
 
 def test_trial_stats_dict_omits_progress():
