@@ -17,7 +17,7 @@ import sys
 
 # routes, protocol and hashlib are imported by the commands that use them,
 # so that analyze, sweep and optimize-c do not load them.
-from . import combinatorics, security
+from . import security
 from .errors import InconsistencyError, QkdNetError, ValidationError
 from .topology import make_segment
 
@@ -85,29 +85,22 @@ def _sweep_grid(args) -> list[float]:
 
 def cmd_sweep(args) -> int:
     grid = _sweep_grid(args)
-    rows: list[list] = []
-    if args.param in ("p", "eps_auth"):
-        make_segment(args.n, args.c)
-        prefix = "p_s" if args.param == "p" else "eps1"
-        header = [args.param, f"{prefix}_exact", f"{prefix}_approx", "regime_valid"]
-        for p in grid:
-            res = combinatorics.p_success_approx(args.n, args.c, p)
-            rows.append([p, res.exact, res.approx, res.regime_valid])
-    elif args.param == "eps_qkd":
-        seg = make_segment(args.n, args.c)
-        header = ["eps_qkd", "eps2_exact", "eps2_approx", "regime_valid"]
-        for q in grid:
-            approx = security.epsilon2_approx(seg, q)  # checks N before the exact chain
-            exact = security.epsilon2_exact(seg, q)
-            rows.append([q, exact, approx, security.epsilon2_regime_valid(seg, q)])
-    else:  # c or N: integer grid, node-attack probability at fixed p
-        values = sorted({int(round(v)) for v in grid})
-        header = [args.param, "p_s_exact", "p_s_approx", "regime_valid"]
-        for v in values:
-            n, c = (args.n, v) if args.param == "c" else (v, args.c)
-            make_segment(n, c)
-            res = combinatorics.p_success_approx(n, c, args.p)
-            rows.append([v, res.exact, res.approx, res.regime_valid])
+    if args.param in ("c", "N"):  # integer grid, node-attack probability at fixed p
+        grid = sorted({int(round(v)) for v in grid})
+    approx, exact, valid = (
+        (security.epsilon2_approx, security.epsilon2_exact, security.epsilon2_regime_valid)
+        if args.param == "eps_qkd"
+        else (security.epsilon1_approx, security.epsilon1_exact, security.epsilon1_regime_valid)
+    )
+    prefix = {"eps_auth": "eps1", "eps_qkd": "eps2"}.get(args.param, "p_s")
+    axis = {"c": "c", "N": "n"}.get(args.param, "p")  # the argument a grid point replaces
+    rows = []
+    for x in grid:
+        n, c, p = (x if name == axis else getattr(args, name) for name in ("n", "c", "p"))
+        seg = make_segment(n, c)
+        approx_x = approx(seg, p)  # first, so that its errors come before the chain's
+        rows.append([x, exact(seg, p), approx_x, valid(seg, p)])
+    header = [args.param, f"{prefix}_exact", f"{prefix}_approx", "regime_valid"]
     sys.stdout.writelines(_csv_lines(header, rows))
     return 0
 
@@ -132,7 +125,8 @@ def cmd_routes(args) -> int:
 
     seg = make_segment(args.n, args.c)
     if args.edges:
-        sys.stdout.writelines(_csv_lines(["from", "to"], seg.edges()))
+        pairs = ((i, j) for i in range(1, seg.n_nodes) for j in seg.out_neighbors(i))
+        sys.stdout.writelines(_csv_lines(["from", "to"], pairs))
         return 0
     payload: dict = {
         "n": args.n,
@@ -208,13 +202,9 @@ def cmd_demo_protocol(args) -> int:
     keys, transcript, final_key = protocol.run_session(
         seg, scheme, args.key_len, args.seed
     )
-    messages = list(transcript.messages)
     if args.corrupt:
-        link, ciphertext = messages[-1]
-        messages[-1] = (link, ciphertext ^ 1)
-        transcript = protocol.SessionTranscript(
-            messages=tuple(messages), key_len=args.key_len
-        )
+        *messages, (link, ciphertext) = transcript.messages
+        transcript = transcript._replace(messages=(*messages, (link, ciphertext ^ 1)))
 
     print(f"segment n={args.n} c={args.c}: {scheme.route_count} routes, "
           f"{seg.edge_count} links, key_len={args.key_len}")
@@ -222,7 +212,7 @@ def cmd_demo_protocol(args) -> int:
     # so each block of a bundle is one slice of the text.
     labels = [f" K{i}" for i in range(scheme.route_count + 1)]
     text, at = "".join(labels), [0, *accumulate(map(len, labels))]
-    for i, (link, ciphertext) in enumerate(messages, start=1):
+    for i, (link, ciphertext) in enumerate(transcript.messages, start=1):
         bundle = scheme.per_link_bundles[link]
         nbits = len(bundle) * args.key_len
         digest = hashlib.blake2b(
@@ -231,15 +221,8 @@ def cmd_demo_protocol(args) -> int:
         ids = "".join(bundle.slices(text, at))[1:]
         print(f"message {i}: link {link.src}->{link.dst}  ({ids}) XOR k_{link.src}{link.dst}  digest={digest}")
 
-    last = seg.n_nodes
-    endpoint_keys = {
-        link: keys.link_keys[link] for link in seg.edges() if link.dst == last
-    }
-    try:
-        recovered = protocol.reconstruct_at_endpoint(seg, scheme, transcript, endpoint_keys)
-    except ValidationError:
-        recovered = None
-    if recovered == final_key:
+    endpoint_keys = {link: key for link, key in keys.link_keys.items() if link.dst == seg.n_nodes}
+    if protocol.reconstruct_at_endpoint(seg, scheme, transcript, endpoint_keys) == final_key:
         print("endpoint reconstruction: PASS")
         if args.json_out:
             _write_transcript_json(args.json_out, seg, scheme, transcript)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 from .errors import CapExceededError, ValidationError
@@ -155,22 +155,35 @@ def check_session(seg: NetworkSegment, key_len: int, seed: int) -> None:
         )
 
 
+def _check_scheme(seg: NetworkSegment, scheme: RoutingScheme) -> None:
+    """Refuse a scheme that ``build_routing_scheme`` did not make for ``seg``."""
+    if scheme.segment != seg:
+        raise ValidationError("routing scheme was built for a different segment")
+    n, c = seg.n_nodes, seg.density
+    if len(scheme.per_link_bundles) != seg.edge_count or not all(
+        isinstance(link, Link) and 1 <= link.src < link.dst <= min(link.src + c, n)
+        and isinstance(bundle, Bundle) for link, bundle in scheme.per_link_bundles.items()
+    ):
+        raise ValidationError("routing scheme must map each link of the segment to a Bundle")
+
+
 def run_session(
     seg: NetworkSegment, scheme: RoutingScheme, key_len: int, seed: int
 ) -> tuple[SessionKeys, SessionTranscript, int]:
     """Execute one key-transport session; returns keys, transcript, and the
     final key (XOR of all route keys).
 
-    Refuses what ``check_session`` refuses, the material cap included.
-    When ``key_len % 8 == 0`` each route key is converted to bytes once
-    and every bundle is packed by joining one slice of them per block;
+    Refuses what ``_check_scheme`` and ``check_session`` refuse.  Links
+    draw their keys and send their messages in scheme order.  When
+    ``key_len % 8 == 0`` each route key is converted to bytes once and
+    every bundle is packed by joining one slice of them per block;
     otherwise by ``_concat_keys``.  Both give the same plaintext integers.
     """
-    if scheme.segment != seg:
-        raise ValidationError("routing scheme was built for a different segment")
+    _check_scheme(seg, scheme)
     check_session(seg, key_len, seed)
     rng = random.Random(seed)
-    link_keys = {link: rng.getrandbits(key_len) for link in seg.edges()}
+    bundles = scheme.per_link_bundles
+    link_keys = dict(zip(bundles, map(rng.getrandbits, repeat(key_len, len(bundles)))))
     route_keys = tuple(map(rng.getrandbits, repeat(key_len, scheme.route_count)))
 
     # Route id i's key sits at [at[i], at[i + 1]) of a sequence of every
@@ -189,12 +202,10 @@ def run_session(
         def pack(bundle):
             return _join_key_bytes(key_buffer, at, bundle)
 
-    messages = []
-    for link in seg.edges():
-        bundle = scheme.per_link_bundles[link]
-        nbits = len(bundle) * key_len
-        ciphertext = pack(bundle) ^ _keystream(link_keys[link], key_len, nbits)
-        messages.append((link, ciphertext))
+    messages = [
+        (link, pack(bundle) ^ _keystream(link_keys[link], key_len, len(bundle) * key_len))
+        for link, bundle in bundles.items()
+    ]
 
     final_key = 0
     for key in route_keys:
@@ -214,34 +225,30 @@ def reconstruct_at_endpoint(
 
     The in-link bundles of node N partition the route indices, so the
     endpoint's own link keys suffice, and the route ids are covered when
-    every in-link of N has sent a message.  A scheme built for another
-    segment, a missing link key, a ciphertext of the wrong bit length or
-    route ids left uncovered are ValidationErrors.  Where a link sent more
-    than one message, its last one counts.  Each plaintext is reduced to
-    the XOR of its keys by ``_xor_keys``, whatever the key length.
+    every in-link of N has sent a message.  Besides what ``_check_scheme``
+    refuses, a ``key_len`` outside [1, MAX_KEY_LEN], an in-link with no
+    message or link key, or a ciphertext of the wrong bit length is a
+    ValidationError.  A link's last message counts.  Each plaintext is
+    reduced to the XOR of its keys by ``_xor_keys``, whatever the key length.
     """
-    if scheme.segment != seg:
-        raise ValidationError("routing scheme was built for a different segment")
+    _check_scheme(seg, scheme)
     key_len = transcript.key_len
     if not 1 <= key_len <= MAX_KEY_LEN:
         raise ValidationError(f"key_len must be in [1, {MAX_KEY_LEN}], got {key_len}")
-    xor_by_link: dict[Link, int] = {}
-    for link, ciphertext in transcript.messages:
+    ciphertexts = dict(transcript.messages)  # a link's last message counts
+    final_key = 0
+    for link, bundle in scheme.per_link_bundles.items():
         if link.dst != seg.n_nodes:
             continue
+        if link not in ciphertexts:
+            raise ValidationError("transcript does not cover every route key")
         if link not in link_keys_of_last_node:
             raise ValidationError(f"missing link key for {link}")
-        count = len(scheme.per_link_bundles[link])
-        nbits = count * key_len
+        ciphertext, nbits = ciphertexts[link], len(bundle) * key_len
         if ciphertext < 0 or ciphertext >> nbits:
             raise ValidationError(f"ciphertext on {link} has wrong bit length")
         plaintext = ciphertext ^ _keystream(link_keys_of_last_node[link], key_len, nbits)
-        xor_by_link[link] = _xor_keys(plaintext, count, key_len)
-    if sum(len(scheme.per_link_bundles[link]) for link in xor_by_link) != scheme.route_count:
-        raise ValidationError("transcript does not cover every route key")
-    final_key = 0
-    for key in xor_by_link.values():
-        final_key ^= key
+        final_key ^= _xor_keys(plaintext, len(bundle), key_len)
     return final_key
 
 
@@ -255,18 +262,26 @@ def adversary_view(
 
     A compromised node yields the keys of all its incident links (it
     decrypts everything that passes through it); an intercepted link
-    yields that link's bundle.
+    yields that link's bundle.  Refuses what ``_check_scheme`` and
+    ``CompromiseScenario.of`` refuse.  An interior node's in-link bundles
+    hold every route through it, so its out-links add no route id.
     """
-    known_links = set(scenario.intercepted_links)
-    for link in seg.edges():
-        if link.src in scenario.compromised_nodes or link.dst in scenario.compromised_nodes:
-            known_links.add(link)
-    recovered: set[int] = set()
-    for link in known_links:
-        recovered.update(scheme.per_link_bundles[link])
+    _check_scheme(seg, scheme)
+    nodes, links = CompromiseScenario.of(seg, *scenario)
+    known_links = []
+    marks = bytearray(scheme.route_count + 1)  # marks[i]: route id i is recovered
+    for link, bundle in scheme.per_link_bundles.items():
+        marked = link.dst in nodes or link in links
+        if marked or link.src in nodes:
+            known_links.append(link)
+        if marked:
+            width, block = bundle.width, b"\x01" * bundle.width
+            for start in bundle.starts:
+                marks[start : start + width] = block
+    recovered = frozenset(compress(range(len(marks)), marks))
     return AdversaryView(
-        known_nodes=frozenset(scenario.compromised_nodes),
+        known_nodes=frozenset(nodes),
         known_links=frozenset(known_links),
-        recovered_route_keys=frozenset(recovered),
+        recovered_route_keys=recovered,
         knows_final_key=len(recovered) == scheme.route_count,
     )

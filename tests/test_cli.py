@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import decimal
 import hashlib
 import json
@@ -8,6 +9,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -205,6 +207,23 @@ def test_routes_scheme_and_edges(capsys):
     assert lines[0] == "from,to"
     assert len(lines) == 10
     assert lines[1] == "1,2"
+
+
+def test_routes_edges_streams_its_rows(tmp_path):
+    # Written to a file, the rows at (5e4, 4) peaked (tracemalloc) at
+    # 21.6 MB when every Link was held at once, and at 0.7 MB streamed.
+    path = tmp_path / "edges.csv"
+    with open(path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            code = main(["routes", "--n", "50000", "--c", "4", "--edges"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20
+    rows = [f"{link.src},{link.dst}" for link in qkdnet.make_segment(50000, 4).edges()]
+    assert path.read_text(encoding="utf-8").splitlines() == ["from,to", *rows]
 
 
 def test_simulate_deterministic(capsys):

@@ -12,9 +12,11 @@ from qkdnet import (
     CapExceededError,
     CompromiseScenario,
     Link,
+    RoutingScheme,
     ValidationError,
     adversary_view,
     build_routing_scheme,
+    enumerate_routes,
     link_attack_succeeds,
     make_segment,
     node_attack_succeeds,
@@ -22,6 +24,7 @@ from qkdnet import (
     reconstruct_at_endpoint,
 )
 from qkdnet.protocol import (
+    MAX_KEY_LEN,
     SessionTranscript,
     check_session,
     _concat_keys,
@@ -98,6 +101,83 @@ def test_segment_scheme_mismatch_rejected():
     other = build_routing_scheme(make_segment(7, 2))
     with pytest.raises(ValidationError):
         run_session(seg, other, 8, 1)
+
+
+def foreign_schemes(seg, scheme):
+    """Schemes that build_routing_scheme did not make for ``seg``."""
+    bundles = scheme.per_link_bundles
+    yield RoutingScheme(seg, {link: tuple(b) for link, b in bundles.items()}, scheme.route_count)
+    yield RoutingScheme(
+        seg, {link: b for link, b in bundles.items() if link != (2, 4)}, scheme.route_count
+    )
+    yield build_routing_scheme(make_segment(seg.n_nodes + 1, seg.density))
+
+
+SESSION_CALLS = {
+    "run_session": lambda seg, scheme, keys, transcript: run_session(seg, scheme, 8, 1),
+    "reconstruct_at_endpoint": lambda seg, scheme, keys, transcript: reconstruct_at_endpoint(
+        seg, scheme, transcript, endpoint_keys(seg, keys)
+    ),
+    "adversary_view": lambda seg, scheme, keys, transcript: adversary_view(
+        seg, scheme, transcript, CompromiseScenario.of(seg, nodes={3}, links={(2, 4)})
+    ),
+}
+
+
+@pytest.mark.parametrize("call", SESSION_CALLS.values(), ids=SESSION_CALLS)
+def test_session_functions_refuse_a_scheme_not_built_for_the_segment(call):
+    # Each function reads links and bundles from the scheme alone, so it
+    # must refuse tuple bundles, a dropped link and another segment's scheme.
+    seg, scheme, keys, transcript, final_key = session(6, 2, key_len=8)
+    for other in foreign_schemes(seg, scheme):
+        with pytest.raises(ValidationError, match="routing scheme"):
+            call(seg, other, keys, transcript)
+
+
+def test_adversary_view_refuses_a_scenario_outside_the_segment():
+    # Node 1 is not interior and (1, 4) is no link of (6, 2); a scenario
+    # built without CompromiseScenario.of is checked as if built with it.
+    seg, scheme, keys, transcript, final_key = session(6, 2, key_len=8)
+    for scenario in [
+        CompromiseScenario(frozenset({1}), frozenset()),
+        CompromiseScenario(frozenset(), frozenset({Link(1, 4)})),
+    ]:
+        with pytest.raises(ValidationError):
+            adversary_view(seg, scheme, transcript, scenario)
+
+
+@pytest.mark.parametrize("key_len", [0, MAX_KEY_LEN + 1])
+def test_reconstruct_rejects_transcript_key_len_out_of_range(key_len):
+    seg, scheme, keys, transcript, final_key = session(6, 2, key_len=8)
+    with pytest.raises(ValidationError, match=f"key_len must be in \\[1, {MAX_KEY_LEN}\\]"):
+        reconstruct_at_endpoint(
+            seg, scheme, transcript._replace(key_len=key_len), endpoint_keys(seg, keys)
+        )
+
+
+@pytest.mark.parametrize("n,c", [(n, c) for n in range(3, 9) for c in range(1, n)])
+def test_adversary_with_nodes_and_links_recovers_the_routes_it_touches(n, c):
+    # Each route id whose route uses an intercepted link, or a link of a
+    # compromised node, is recovered, and no other; the final key is known
+    # exactly when every id is.
+    seg, scheme, keys, transcript, final_key = session(n, c, key_len=4)
+    routes = enumerate_routes(seg).routes
+    interior, edges = list(seg.interior_nodes), seg.edges()
+    rng = random.Random(n * 100 + c)
+    for _ in range(25):
+        nodes = set(rng.sample(interior, rng.randint(1, len(interior))))
+        links = set(rng.sample(edges, rng.randint(1, len(edges))))
+        view = adversary_view(
+            seg, scheme, transcript, CompromiseScenario.of(seg, nodes=nodes, links=links)
+        )
+        touched = {
+            route_id
+            for route_id, route in enumerate(routes, start=1)
+            for link in zip(route, route[1:])
+            if link in links or nodes.intersection(link)
+        }
+        assert view.recovered_route_keys == touched
+        assert view.knows_final_key == (len(touched) == len(routes))
 
 
 def test_adversary_single_node_misses_a_key():
