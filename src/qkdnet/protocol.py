@@ -159,10 +159,9 @@ def _check_scheme(seg: NetworkSegment, scheme: RoutingScheme) -> None:
     """Refuse a scheme that ``build_routing_scheme`` did not make for ``seg``."""
     if scheme.segment != seg:
         raise ValidationError("routing scheme was built for a different segment")
-    n, c = seg.n_nodes, seg.density
     if len(scheme.per_link_bundles) != seg.edge_count or not all(
-        isinstance(link, Link) and 1 <= link.src < link.dst <= min(link.src + c, n)
-        and isinstance(bundle, Bundle) for link, bundle in scheme.per_link_bundles.items()
+        isinstance(link, Link) and seg.has_link(*link) and isinstance(bundle, Bundle)
+        for link, bundle in scheme.per_link_bundles.items()
     ):
         raise ValidationError("routing scheme must map each link of the segment to a Bundle")
 
@@ -253,12 +252,9 @@ def reconstruct_at_endpoint(
 
 
 def adversary_view(
-    seg: NetworkSegment,
-    scheme: RoutingScheme,
-    transcript: SessionTranscript,
-    scenario: CompromiseScenario,
+    seg: NetworkSegment, scheme: RoutingScheme, scenario: CompromiseScenario
 ) -> AdversaryView:
-    """What an adversary holding the scenario's nodes and links learns.
+    """What the scheme reveals to an adversary holding the scenario's nodes and links.
 
     A compromised node yields the keys of all its incident links (it
     decrypts everything that passes through it); an intercepted link

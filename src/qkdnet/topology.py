@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, check_float_size
 
 
 class Link(NamedTuple):
@@ -49,6 +49,7 @@ class NetworkSegment(_Segment):
             )
         if not 1 <= density <= n_nodes - 1:
             raise ValidationError(f"density must be in [1, {n_nodes - 1}], got {density}")
+        check_float_size(n_nodes, "N")
         return super().__new__(cls, n_nodes, density)
 
     @property
@@ -59,6 +60,13 @@ class NetworkSegment(_Segment):
     @property
     def interior_nodes(self) -> range:
         return range(2, self.n_nodes)
+
+    def has_link(self, src, dst) -> bool:
+        """True when 1 <= src < dst <= min(src + c, N), as for membership in
+        ``edges()``: a value equal to an int, such as 2.0, counts as it."""
+        n, c = self.n_nodes, self.density
+        return (_in_range(src, range(1, n)) and _in_range(dst, range(2, n + 1))
+                and _in_range(dst - src, range(1, c + 1)))
 
     def edges(self) -> list[Link]:
         """All links, ascending by source then destination."""
@@ -96,14 +104,7 @@ class CompromiseScenario(NamedTuple):
             raise ValidationError(
                 f"compromised nodes must be interior (2..{seg.n_nodes - 1}), got {sorted(nodes)}"
             )
-        # Accepts the values that membership in a set of seg.edges() would,
-        # equal floats included, without building it.
-        n, c = seg.n_nodes, seg.density
-        if not all(
-            _in_range(src, range(1, n)) and _in_range(dst, range(2, n + 1))
-            and _in_range(dst - src, range(1, c + 1))
-            for src, dst in links
-        ):
+        if not all(seg.has_link(src, dst) for src, dst in links):
             raise ValidationError("intercepted links must be edges of the segment")
         return CompromiseScenario(nodes, links)
 

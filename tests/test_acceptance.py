@@ -188,8 +188,7 @@ def test_criterion_7_protocol_round_trip():
                     if c >= 2:
                         for node in seg.interior_nodes:
                             view = adversary_view(
-                                seg, scheme, transcript,
-                                CompromiseScenario.of(seg, nodes={node}),
+                                seg, scheme, CompromiseScenario.of(seg, nodes={node})
                             )
                             assert not view.knows_final_key
     assert t.elapsed < 10

@@ -364,6 +364,12 @@ HUGE_N = str(10**400)
            "--n", HUGE_N)
           for param, start, stop in [("p", "0.01", "0.1"), ("eps_auth", "0.01", "0.1"),
                                      ("c", "1", "3"), ("eps_qkd", "0.01", "0.1")]),
+        # the segment refuses N, so these end neither in a traceback nor in
+        # an endless stream of rows
+        ("routes", "--n", HUGE_N, "--c", "2", "--count-only"),
+        ("routes", "--n", HUGE_N, "--c", "2", "--scheme"),
+        ("demo-protocol", "--n", HUGE_N, "--c", "2"),
+        ("simulate", "--n", HUGE_N, "--c", "2", "--trials", "10", "--seed", "1"),
     ],
 )
 def test_n_past_float_range_exits_2(argv):

@@ -38,7 +38,7 @@ def records() -> dict:
         "RoutingScheme": scheme,
         "SessionKeys": keys,
         "SessionTranscript": transcript,
-        "AdversaryView": adversary_view(seg, scheme, transcript, scenario),
+        "AdversaryView": adversary_view(seg, scheme, scenario),
         "TrialStats": run_trials(seg, 0.1, 0.1, 64, 1),
     }
 

@@ -27,6 +27,12 @@ def test_density_bound_rejected():
         NetworkSegment(6, 7)
 
 
+def test_n_past_float_range_rejected():
+    with pytest.raises(ValidationError, match="^N must convert to a finite float"):
+        NetworkSegment(10**400, 2)
+    assert make_segment(10**300, 2).n_nodes == 10**300
+
+
 def test_too_few_nodes_rejected():
     with pytest.raises(ValidationError, match="n_nodes"):
         make_segment(2, 1)
@@ -80,3 +86,14 @@ def test_in_neighbors():
 
 def test_json_round_trip_shape():
     assert make_segment(6, 2).to_dict() == {"n": 6, "c": 2}
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_has_link_is_membership_in_edges(n):
+    values = [0, 1, 2, 3, 4.0, 5, 6, 7, 8, 1.5, 2.5, -1, "2", None]
+    for c in range(1, n):
+        seg = make_segment(n, c)
+        edges = set(seg.edges())
+        for src in values:
+            for dst in values:
+                assert seg.has_link(src, dst) == ((src, dst) in edges), (c, src, dst)
