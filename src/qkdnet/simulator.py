@@ -7,19 +7,24 @@ is kept only as a diagnostic.
 
 Trials are bit-sliced: bit t of a ``uint64`` word (little-endian bit
 order) is trial t of that word, so one bitwise operation scores 64
-trials.  Every node and link has one row of words per block.  A lane is
-hit with probability p by an exact-Bernoulli draw on raw PCG64 bytes: it
-hits when its byte is below floor(256p), and a byte equal to floor(256p)
-is refined by one float64 compared with the fraction 256p - floor(256p)
-(the lazy binary-expansion comparison of Knuth and Yao).  A block holds
+trials.  Every node and link has one row of words per block.  Each byte
+of a row, 8 lanes, is one exact draw from the law of its 256 hit
+patterns, P(b) = p^k (1 - p)^(8 - k) for k = popcount(b), by table-lookup
+sampling (Marsaglia, Tsang and Wang): 16 bits of raw PCG64 output pick
+the pattern from a 65,536-entry table, and the few cells of the table
+that a boundary of the law crosses take 56 more bits (the lazy
+binary-expansion comparison of Knuth and Yao), so each pattern's
+probability is within 2^-72 of exact (``_draw_hits``).  A block holds
 at most ``BLOCK_BYTES`` of packed node and link words, or one word per row
 when a segment has more rows than that, and its rows are drawn in chunks
 of at most ``CHUNK_LANES`` lanes, so memory does not grow with ``trials``;
 only running counts carry over from one block to the next.  The node
 attack is scored by its definition, a run of c compromised interior
 nodes (``_node_verdicts``), and the link attack by one reachability chain
-over the band (``_link_verdicts``).  See ``run_trials`` for the draw order
-and the memory bound.
+over the band (``_link_verdicts``).  See ``run_trials`` for the draw order,
+the memory bound and the work cap.  The byte draw is the seeded stream's
+third change, after blocks and bit-slicing: a seed gives other, equally
+valid, estimates than in earlier versions.
 
 ``node_attack_succeeds`` and ``link_attack_succeeds`` score one trial
 from explicit sets: they validate the sets, mark them in a one-trial mask
@@ -28,11 +33,13 @@ and call the same verdict functions as ``run_trials``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, check_probability
+from .errors import CapExceededError, ValidationError, check_probability
 from .topology import CompromiseScenario, NetworkSegment
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -40,6 +47,12 @@ RNG_ALGORITHM = "numpy-pcg64"
 # the most lanes drawn at once; both fix the draw order, see run_trials.
 BLOCK_BYTES = 1 << 20
 CHUNK_LANES = 1 << 19
+# The most work run_trials accepts, in units of one node step of a block
+# (the link chain's pass over one node) or WORDS_PER_WORK_UNIT drawn words.
+# A unit took 3-6 us on a 2-vCPU x86-64 host, so an accepted run takes
+# at most about 3 minutes there even at 10 us a unit.
+MAX_TRIAL_WORK = 18_000_000
+WORDS_PER_WORK_UNIT = 100
 
 
 class TrialStats(NamedTuple):
@@ -63,35 +76,92 @@ class TrialStats(NamedTuple):
         return fields
 
 
+# A cell holds the top 16 of the 72 bits that settle one output byte; the
+# other 56 come from one more raw output when the cell needs them.  Cells
+# are looked up _TAKE_CELLS at a time.
+_REFINE_BITS = 56
+_TAKE_CELLS = 1 << 15
+
+
+@functools.lru_cache(maxsize=2)
+def _byte_law(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table of ``_draw_hits`` for 0 < p < 1: ``(table, keys, base)``.
+
+    With p = m/2^s, pattern b (bit t set where lane t hits) has mass
+    m^k (2^s - m)^(8-k) / 2^(8s), k = popcount(b).  Its cumulative
+    boundaries, floored to 2^-72, are B_b = floor(2^72 * sum of the masses
+    of 0..b) for b < 255, with B_-1 = 0 and B_255 = 2^72, so a uniform
+    72-bit x picks the b with B_(b-1) <= x < B_b.  ``table[u]`` is that b
+    for every x in cell u, [u * 2^56, (u + 1) * 2^56), when no boundary
+    lies strictly inside the cell.  The at most 255 cells that hold one
+    are numbered j = 0, 1, ... in order and hold 256 + j; there b is
+    ``base[j]`` plus the number of ``keys`` at most j * 2^56 + (x mod 2^56),
+    where ``keys`` lists each inside boundary as j * 2^56 + (B_b mod 2^56).
+    """
+    m, den = p.as_integer_ratio()
+    mass = [m**k * (den - m) ** (8 - k) for k in range(9)]
+    shift = 8 * (den.bit_length() - 1)
+    totals = itertools.accumulate(mass[b.bit_count()] for b in range(255))
+    bounds = [(total << 72) >> shift for total in totals]
+    cell = np.array([x >> _REFINE_BITS for x in bounds])
+    low = np.array([x & ((1 << _REFINE_BITS) - 1) for x in bounds], dtype=np.uint64)
+    inside = low != 0
+    # table[u] counts the boundaries at or below u * 2^56
+    firsts = np.append(cell + inside, 1 << 16)
+    table = np.repeat(np.arange(256, dtype=np.uint16), np.diff(firsts, prepend=0))
+    inside_cell = cell[inside]
+    first = np.diff(inside_cell, prepend=-1) != 0  # first boundary in its cell
+    refined = inside_cell[first]
+    keys = (np.cumsum(first) - 1).astype(np.uint64) << np.uint64(_REFINE_BITS) | low[inside]
+    base = table[refined] - np.flatnonzero(first)
+    table[refined] = 256 + np.arange(refined.size)
+    law = table, keys, base
+    for array in law:
+        array.flags.writeable = False
+    return law
+
+
 def _draw_hits(rng: np.random.Generator, p: float, rows: int, words: int) -> np.ndarray:
     """A (rows, words) ``uint64`` array whose bits are independent
     Bernoulli(p) lanes, bit t of a word being lane t (little-endian).
 
     p = 0 and p = 1 draw nothing.  Otherwise rows are drawn in order, in
     chunks of as many whole rows as fit in ``CHUNK_LANES`` lanes (at least
-    one).  A chunk of k rows takes ``8 * words * k`` raw PCG64 outputs,
-    read as little-endian bytes, one byte per lane in row-major order; a
-    lane hits when its byte is below t = floor(256p).  Then the lanes whose
-    byte equals t, in the same order, each take one ``rng.random()``
-    float and hit when it is below 256p - t.  So P(hit) = p to within the
-    2^-53 resolution of the float draw.
+    one).  Each output byte holds 8 lanes of one row, bit t being lane t,
+    and is one draw from the law of the 256 byte patterns,
+    P(b) = p^k (1 - p)^(8 - k) for k = popcount(b).  A chunk of k rows
+    takes ``2 * words * k`` raw PCG64 outputs, read as little-endian
+    ``uint16`` cells, one per output byte in row-major order; cell u is
+    the top 16 bits of a 72-bit uniform and maps through the table of
+    ``_byte_law`` to its pattern.  Then the cells with a pattern boundary
+    strictly inside them, in the same order, each take one more raw
+    output, whose top 56 bits are the low bits of the uniform.  Each
+    pattern's probability is within 2^-72 of exact.
     """
     if p == 0.0:
         return np.zeros((rows, words), dtype=np.uint64)
     if p == 1.0:
         return np.full((rows, words), ~np.uint64(0))
-    scaled = 256.0 * p  # exact: a power-of-two scaling
-    threshold = int(scaled)
+    table, keys, base = _byte_law(p)
     out = np.empty((rows, words), dtype=np.uint64)
+    flat = out.view(np.uint8).reshape(-1)
     step = max(1, CHUNK_LANES // (64 * words))
     for row in range(0, rows, step):
         k = min(step, rows - row)
-        lanes = rng.bit_generator.random_raw(8 * words * k).astype("<u8", copy=False)
-        lanes = lanes.view(np.uint8)
-        hit = lanes < threshold
-        ties = np.flatnonzero(lanes == threshold)
-        hit[ties] = rng.random(ties.size) < scaled - threshold
-        out[row : row + k] = np.packbits(hit, bitorder="little").view(np.uint64).reshape(k, words)
+        raw = rng.bit_generator.random_raw(2 * words * k)
+        patterns = raw.astype("<u8", copy=False).view("<u2")
+        # cells to patterns in place, a slice at a time, since the indices
+        # are copied to intp, 8 bytes a cell; a cell is always a valid
+        # index, and "clip" skips the bounds check and an output buffer
+        for at in range(0, patterns.size, _TAKE_CELLS):
+            cells = patterns[at : at + _TAKE_CELLS]
+            np.take(table, cells.astype(np.intp), out=cells, mode="clip")
+        refine = np.flatnonzero(patterns > 255)
+        j = patterns[refine] - 256
+        low = rng.bit_generator.random_raw(refine.size) >> np.uint64(64 - _REFINE_BITS)
+        x = j.astype(np.uint64) << np.uint64(_REFINE_BITS) | low
+        patterns[refine] = base[j] + np.searchsorted(keys, x, side="right")
+        flat[8 * words * row : 8 * words * (row + k)] = patterns
     return out
 
 
@@ -175,19 +245,26 @@ def run_trials(
     stream draws, with ``_draw_hits``, the node rows (one per interior
     node 2..N-1, compromised with probability ``p_node``), then the link
     rows (one per link in ascending (dst, src) order, intercepted with
-    probability ``p_link``): raw bytes in chunks of at most
-    ``CHUNK_LANES`` lanes, each chunk followed by the floats that refine
-    its ties; a probability of 0 or 1 draws nothing.  Bits past the last trial are drawn and scored but not
-    counted.  Memory does not grow with ``trials``.  Up to
+    probability ``p_link``): 16-bit table cells in chunks of at most
+    ``CHUNK_LANES`` lanes, each chunk followed by the raw outputs that
+    refine its cells that a boundary of the law crosses; a probability of
+    0 or 1 draws nothing.  Each 8-lane hit pattern has its probability to
+    within 2^-72, and this draw is the seeded stream's third change (see
+    the module docstring).  Bits past the last trial are drawn and scored
+    but not counted.  Memory does not grow with ``trials``.  Up to
     ``BLOCK_BYTES // 8`` = 131,072 node and link rows it is bounded by the
-    block, ``BLOCK_BYTES`` (1 MB) of packed words, plus about 3 bytes per
-    lane of one chunk (1.5 MB) of temporaries.  Past that W stays 1, so
+    block, ``BLOCK_BYTES`` (1 MB) of packed words, plus about 0.75 bytes
+    per lane of one chunk (0.4 MB) of temporaries.  Past that W stays 1, so
     memory grows with the rows, N - 2 + c(2N - c - 1)/2: 8 bytes per row
     for the block's words and 8 bytes per node for the window ANDs of
     ``_node_verdicts`` or the reachability chain of ``_link_verdicts``,
     at most about 12 bytes per row, plus the chunk temporaries (32 MB at
     N = 1e6, c = 2).  The running counts in ``progress`` come from the
     same draw as the totals.
+
+    Before drawing, a run whose work, N node steps per block plus its
+    drawn words, rows * ceil(trials / 64), over ``WORDS_PER_WORK_UNIT``,
+    exceeds ``MAX_TRIAL_WORK`` raises CapExceededError.
     """
     check_probability(p_node, "p_node")
     check_probability(p_link, "p_link")
@@ -196,10 +273,18 @@ def run_trials(
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
-    rng = np.random.default_rng(seed)
     interior, edges = seg.n_nodes - 2, seg.edge_count
     words = max(1, min(BLOCK_BYTES // (8 * (interior + edges)), CHUNK_LANES // 64))
     block = 64 * words
+    drawn_words = (interior + edges) * -(-trials // 64)
+    work = seg.n_nodes * -(-trials // block) + drawn_words // WORDS_PER_WORK_UNIT
+    if work > MAX_TRIAL_WORK:
+        raise CapExceededError(
+            f"simulation work {work} (node steps plus drawn words / {WORDS_PER_WORK_UNIT}) "
+            f"exceeds cap {MAX_TRIAL_WORK}"
+        )
+
+    rng = np.random.default_rng(seed)
     # np.unique would import numpy.ma, which costs about 1.3 MB of RSS.
     marks = sorted({k * trials // 10 for k in range(1, 11)} - {0})
     progress = []

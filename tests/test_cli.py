@@ -281,6 +281,23 @@ def test_simulate_negative_seed_is_validation_error(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("n,trials", [(10**12, 10), (10**19, 10), (5, 10**15)])
+def test_simulate_past_work_cap_exits_3(n, trials):
+    # Without the cap, N = 10^12 fails to allocate, N = 10^19 passes
+    # numpy's largest dimension, both with a traceback, and 10^15 trials
+    # would run for years.  The child runs under an address-space limit,
+    # so a run that tries the allocation fails there instead of
+    # exhausting the host's memory.
+    limit = 1_000_000_000
+    proc = run_cli_fresh(
+        "simulate", "--n", str(n), "--c", "2", "--trials", str(trials), "--seed", "1",
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: simulation work ")
+
+
 def test_routes_bad_route_cap_env_is_validation_error(capsys, monkeypatch):
     monkeypatch.setenv("QKDNET_ROUTE_CAP", "abc")
     code, _, err = run_cli(capsys, "routes", "--n", "6", "--c", "2", "--enumerate")
@@ -752,30 +769,57 @@ def test_analysis_commands_pinned_bytes(capsys):
 # Commands whose output goes through the shared JSON and CSV writers, with
 # the option (if any) that names their output file.  The sha256 of each
 # stdout, followed by the file it wrote, in this order, was recorded before
-# the writers were merged.
-PINNED_WRITER_ARGV = [
+# the writers were merged, for the simulate lines again when the simulate
+# draw last changed.
+PINNED_SIMULATE_ARGV = [
     ("simulate --n 20 --c 3 --p-node 0.6 --p-link 0.3 --trials 15 --seed 7",
      "--progress-csv"),
     ("simulate --n 10 --c 2 --p-node 1 --p-link 0.25 --trials 100 --seed 1",
      "--progress-csv"),
     ("simulate --n 40 --c 4 --p-node 0.5 --p-link 0.4 --trials 20000 --seed 11",
      "--progress-csv"),
+]
+PINNED_SIMULATE_BYTES = "dcb89c4ca6cdedd79202dd74c939a13d951fa4a9873841675f27c96fdada0729"
+PINNED_WRITER_ARGV = [
     ("routes --n 9 --c 3 --edges", None),
     ("routes --n 8 --c 3 --enumerate", None),
     ("demo-protocol --n 9 --c 3 --key-len 13 --seed 4", "--json-out"),
 ]
-PINNED_WRITER_BYTES = "e307afcddabe45cbcb42dcac7f14024f1e2b8ef2f09d9108b8206afaddda4ce9"
+PINNED_WRITER_BYTES = "cc3d379fc8ed09b8dc417ae7479a949f234a8194b524339253cef5e31d837ae9"
 
 
-def test_writer_commands_pinned_bytes(capsys, tmp_path):
-    digest = hashlib.sha256()
+def writer_outputs(capsys, tmp_path, pinned_argv):
+    """The sha256 of each line's stdout followed by the file it wrote, and
+    each line's stdout."""
+    digest, outs = hashlib.sha256(), []
     target = tmp_path / "out"
-    for line, file_option in PINNED_WRITER_ARGV:
+    for line, file_option in pinned_argv:
         argv = line.split() + ([file_option, str(target)] if file_option else [])
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (line, err)
         digest.update(out.encode())
+        outs.append(out)
         if file_option:
             digest.update(target.read_bytes())
             target.unlink()
-    assert digest.hexdigest() == PINNED_WRITER_BYTES
+    return digest.hexdigest(), outs
+
+
+def test_writer_commands_pinned_bytes(capsys, tmp_path):
+    assert writer_outputs(capsys, tmp_path, PINNED_WRITER_ARGV)[0] == PINNED_WRITER_BYTES
+
+
+def test_simulate_pinned_bytes_agree_with_exact_values(capsys, tmp_path):
+    digest, outs = writer_outputs(capsys, tmp_path, PINNED_SIMULATE_ARGV)
+    for (line, _), out in zip(PINNED_SIMULATE_ARGV, outs):
+        args = dict(zip(*[iter(line.split()[1:])] * 2))
+        n, c, trials = int(args["--n"]), int(args["--c"]), int(args["--trials"])
+        stats = json.loads(out)
+        for successes, exact in (
+            (stats["successes_auth"], qkdnet.p_success_exact(n, c, float(args["--p-node"]))),
+            (stats["successes_link"],
+             qkdnet.epsilon2_exact(qkdnet.make_segment(n, c), float(args["--p-link"]))),
+        ):
+            sigma = math.sqrt(trials * exact * (1 - exact))
+            assert abs(successes - trials * exact) <= 5 * sigma, line
+    assert digest == PINNED_SIMULATE_BYTES

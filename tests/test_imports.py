@@ -59,6 +59,10 @@ NOT_ROUTES = ("numpy", "qkdnet.chains", "qkdnet.routes", "qkdnet.protocol", "has
         (["demo-protocol", "--n", "6", "--c", "2"], ("numpy",)),
         (["routes", "--n", "6", "--c", "2", "--count-only"],
          ("numpy", "qkdnet.protocol", "hashlib")),
+        # numpy.ma (loaded by np.unique, for one) costs about 1.3 MB of RSS
+        (["simulate", "--n", "30", "--c", "3", "--p-node", "0.4", "--p-link", "0.3",
+          "--trials", "2000", "--seed", "1"],
+         ("numpy.ma", "qkdnet.routes", "qkdnet.protocol", "qkdnet.chains")),
     ],
 )
 def test_pure_python_commands_do_not_load_numpy(argv):

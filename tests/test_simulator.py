@@ -1,6 +1,9 @@
+import bisect
 import itertools
+import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from rational_oracle import has_run_of_c, reaches_last
 
 from qkdnet import (
+    CapExceededError,
     CompromiseScenario,
     Link,
     ValidationError,
@@ -19,9 +23,11 @@ from qkdnet import (
     p_success_exact,
     run_trials,
 )
+from qkdnet import simulator
 from qkdnet.simulator import (
     BLOCK_BYTES,
     CHUNK_LANES,
+    _byte_law,
     _draw_hits,
     _link_verdicts,
     _node_verdicts,
@@ -201,6 +207,18 @@ def test_trials_reproducible():
     assert c != a
 
 
+@pytest.mark.parametrize("trials,work", [(100, 8), (64_000, 8 + 190)])
+def test_run_trials_refuses_work_past_cap(monkeypatch, trials, work):
+    # (8, 2) has 19 rows and takes one block: 8 node steps plus
+    # 19 * ceil(trials / 64) drawn words / 100.
+    seg = make_segment(8, 2)
+    monkeypatch.setattr(simulator, "MAX_TRIAL_WORK", work)
+    assert run_trials(seg, 0.5, 0.5, trials, seed=1).trials == trials
+    monkeypatch.setattr(simulator, "MAX_TRIAL_WORK", work - 1)
+    with pytest.raises(CapExceededError, match=f"^simulation work {work} "):
+        run_trials(seg, 0.5, 0.5, trials, seed=1)
+
+
 def test_node_estimate_matches_exact_formula():
     seg = make_segment(20, 3)
     stats = run_trials(seg, 0.3, 0.0, 100_000, seed=2024)
@@ -303,9 +321,50 @@ def test_verdict_words_match_references_at_benchmark_sizes(n, c):
         assert link[t] == link_reference(seg, intercepted)
 
 
-@pytest.mark.parametrize("p", [0.0, 1 / 256, 0.2, 0.5, 255.5 / 256, 1.0])
+DRAW_PROBABILITIES = [0.0, 1 / 256, 0.2, 0.5, 255.5 / 256, 1.0, 5e-324, 1e-300, 1 - 2**-53]
+
+
+def pattern_bounds(p):
+    """B_0..B_254 of the byte-pattern law, from the exact rational p: the
+    cumulative masses of patterns 0..b (bit t set where lane t hits),
+    floored to 2^-72."""
+    q, total, bounds = Fraction(p), Fraction(0), []
+    for b in range(255):
+        k = b.bit_count()
+        total += q**k * (1 - q) ** (8 - k)
+        bounds.append(math.floor(total * 2**72))
+    return bounds
+
+
+def replay_patterns(rng, p, rows, words):
+    """The output bytes of the documented draw, cell by cell: a 16-bit
+    cell u is the top of a 72-bit uniform x, and x picks the pattern b
+    with B_(b-1) <= x < B_b; a cell with a boundary strictly inside it
+    takes the low 56 bits from the top of one more raw output, after the
+    cells of its chunk, in byte order."""
+    bounds = pattern_bounds(p)
+    per_chunk = max(1, CHUNK_LANES // (64 * words))
+    out = bytearray()
+    for row in range(0, rows, per_chunk):
+        k = min(per_chunk, rows - row)
+        raw = rng.bit_generator.random_raw(2 * words * k)
+        data = b"".join(int(v).to_bytes(8, "little") for v in raw)
+        cells = [int.from_bytes(data[i : i + 2], "little") for i in range(0, len(data), 2)]
+        patterns = [bisect.bisect_right(bounds, u << 56) for u in cells]
+        for i, (u, b) in enumerate(zip(cells, patterns)):
+            if b < 255 and bounds[b] < (u + 1) << 56:
+                x = u << 56 | int(rng.bit_generator.random_raw()) >> 8
+                patterns[i] = bisect.bisect_right(bounds, x)
+        out += bytes(patterns)
+    return np.unpackbits(np.frombuffer(bytes(out), dtype=np.uint8), bitorder="little").astype(bool)
+
+
+@pytest.mark.parametrize("p", DRAW_PROBABILITIES)
 @pytest.mark.parametrize("rows,words", [(5, 1), (3, CHUNK_LANES // 128)])
 def test_draw_hits_replays_raw_bytes_and_tie_floats(p, rows, words):
+    """The draw against its pure-Python replay: the raw bytes as 16-bit
+    cells, and the tie cells refined by raw outputs (the test keeps the
+    name it had when ties were refined by floats, so its ids stay)."""
     rng = np.random.default_rng(31)
     drawn = _draw_hits(rng, p, rows, words)
     assert drawn.shape == (rows, words) and drawn.dtype == np.uint64
@@ -317,20 +376,58 @@ def test_draw_hits_replays_raw_bytes_and_tie_floats(p, rows, words):
         assert rng.bit_generator.state == replay.bit_generator.state
         assert lanes.all() if p else not lanes.any()
         return
-    threshold = int(256 * p)
-    per_chunk = max(1, CHUNK_LANES // (64 * words))
-    expected = []
-    for row in range(0, rows, per_chunk):
-        k = min(per_chunk, rows - row)
-        raw = replay.bit_generator.random_raw(8 * words * k)
-        data = b"".join(int(v).to_bytes(8, "little") for v in raw)
-        hit = np.frombuffer(data, dtype=np.uint8) < threshold
-        for lane, byte in enumerate(data):
-            if byte == threshold:
-                hit[lane] = replay.random() < 256 * p - threshold
-        expected.append(hit)
-    assert np.array_equal(lanes, np.concatenate(expected))
+    assert np.array_equal(lanes, replay_patterns(replay, p, rows, words))
     assert rng.bit_generator.state == replay.bit_generator.state
+
+
+class ScriptedBits:
+    """Stands in for a Generator whose raw outputs are given in advance."""
+
+    def __init__(self, outputs):
+        self.bit_generator = self
+        self.outputs = list(outputs)
+
+    def random_raw(self, size):
+        taken, self.outputs = self.outputs[:size], self.outputs[size:]
+        return np.array(taken, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("p", [0.2, 1 / 3, 255.5 / 256, 1e-300, 1 - 2**-53])
+def test_draw_hits_at_refined_boundaries(p):
+    """A uniform just below a boundary B_b inside a cell picks pattern b,
+    and one equal to it picks b + 1."""
+    bounds, mask = pattern_bounds(p), (1 << 56) - 1
+    xs = [x for bound in bounds if bound & mask for x in (bound - 1, bound)]
+    for at in range(0, len(xs), 8):
+        batch = (xs[at : at + 8] * 8)[:8]
+        cells = sum(x >> 56 << 16 * i for i, x in enumerate(batch))
+        raws = [cells & (1 << 64) - 1, cells >> 64] + [(x & mask) << 8 for x in batch]
+        drawn = _draw_hits(ScriptedBits(raws), p, 1, 1)
+        expected = [bisect.bisect_right(bounds, x) for x in batch]
+        assert drawn.view(np.uint8).ravel().tolist() == expected
+
+
+@pytest.mark.parametrize("p", [p for p in DRAW_PROBABILITIES if 0 < p < 1] + [0.3, 0.123456789])
+def test_byte_law_is_exact_to_2_pow_minus_72(p):
+    """Each pattern's table mass plus its refinement mass is exactly the
+    floored boundary difference, which is within 2^-72 of its law."""
+    table, keys, base = _byte_law(p)
+    assert table.shape == (1 << 16,) and len(base) <= 255
+    unit, mask = 1 << 56, (1 << 56) - 1
+    mass = [int(n) * unit for n in np.bincount(table[table < 256], minlength=256)]
+    keys = [int(key) for key in keys]
+    for j, first in enumerate(base):
+        earlier = sum(key >> 56 < j for key in keys)
+        cuts = [0] + [key & mask for key in keys if key >> 56 == j] + [unit]
+        assert len(cuts) > 2 and np.count_nonzero(table == 256 + j) == 1
+        for i in range(len(cuts) - 1):
+            mass[int(first) + earlier + i] += cuts[i + 1] - cuts[i]
+    bounds = [0] + pattern_bounds(p) + [1 << 72]
+    q = Fraction(p)
+    for b in range(256):
+        assert mass[b] == bounds[b + 1] - bounds[b], b
+        k = b.bit_count()
+        assert abs(Fraction(mass[b], 1 << 72) - q**k * (1 - q) ** (8 - k)) < Fraction(1, 1 << 72)
 
 
 def block_trials(seg):
