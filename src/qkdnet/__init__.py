@@ -28,7 +28,7 @@ _HOMES = {
     "errors": ("CapExceededError", "InconsistencyError", "QkdNetError", "ValidationError"),
     "protocol": ("adversary_view", "reconstruct_at_endpoint", "run_session"),
     "routes": ("RouteSet", "RoutingScheme", "build_routing_scheme", "cannacci_count",
-               "enumerate_routes", "min_link_cut_size"),
+               "enumerate_routes"),
     "security": ("SecurityParams", "SecurityReport", "epsilon1_approx", "epsilon1_exact",
                  "epsilon2_approx", "epsilon2_exact", "epsilon_qn", "hash_reduction_factor",
                  "optimal_c_integer", "optimal_c_root"),

@@ -6,10 +6,10 @@ route keys (ascending index, first key in the most significant bits),
 encrypted by XOR with a keystream expanded from the link's QKD key.
 
 Keys and ciphertexts are modeled as Python integers of known bit length.
-The keystream expansion is a keyed-hash counter-mode stub, not a security
-claim: the model assumes sufficient key material per link.  BLAKE2b is
-keyed once per link and its keyed state copied for each counter block,
-which gives the same digests as keying every block.
+The keystream expansion is a stub, not a security claim: the model
+assumes sufficient key material per link.  Each link's stream is one
+SHAKE-256 output of the link key behind its bit length, so keys of every
+length take one path and no pre-hash.
 
 Messages are packed block by block: a block is a run of consecutive
 route ids (see ``routes.Bundle``), so its keys are one slice of the keys
@@ -71,27 +71,18 @@ class AdversaryView(NamedTuple):
 
 
 def _keystream(link_key: int, key_len: int, nbits: int) -> int:
-    """Counter-mode expansion of a link key into nbits of keystream.
+    """The first nbits of the link key's keystream.
 
-    Block i is the keyed BLAKE2b digest (RFC 7693) of the 8-byte big-endian
-    counter i.  BLAKE2b is keyed once; each block hashes a copy of the
-    keyed state, which gives the same digest as keying it afresh.
-    BLAKE2b takes keys of at most 64 bytes.  As in HMAC (RFC 2104), a
-    longer key is first hashed to 64 bytes, so every bit of it reaches the
-    keystream; shorter keys are used unchanged.
+    One SHAKE-256 (FIPS 202) output of the key length as 4 big-endian
+    bytes followed by the key's (key_len + 7) // 8 big-endian bytes.  As
+    in KMAC (NIST SP 800-185), the length in front makes the stream
+    injective in (key_len, link_key), and SHAKE takes a key of any length
+    whole, so nothing is pre-hashed.
     """
-    key_bytes = link_key.to_bytes(max((key_len + 7) // 8, 1), "big")
-    if len(key_bytes) > 64:
-        key_bytes = hashlib.blake2b(key_bytes).digest()
-    keyed = hashlib.blake2b(key=key_bytes)
-    blocks = -(-nbits // 512)
-    chunks = []
-    for counter in range(blocks):
-        block = keyed.copy()
-        block.update(counter.to_bytes(8, "big"))
-        chunks.append(block.digest())
-    stream = int.from_bytes(b"".join(chunks), "big")
-    return stream >> (blocks * 512 - nbits)
+    nbytes = -(-nbits // 8)
+    key = key_len.to_bytes(4, "big") + link_key.to_bytes((key_len + 7) // 8, "big")
+    stream = int.from_bytes(hashlib.shake_256(key).digest(nbytes), "big")
+    return stream >> (nbytes * 8 - nbits)
 
 
 def _concat_keys(keys: list[int], key_len: int) -> int:
@@ -226,9 +217,10 @@ def reconstruct_at_endpoint(
     endpoint's own link keys suffice, and the route ids are covered when
     every in-link of N has sent a message.  Besides what ``_check_scheme``
     refuses, a ``key_len`` outside [1, MAX_KEY_LEN], an in-link with no
-    message or link key, or a ciphertext of the wrong bit length is a
-    ValidationError.  A link's last message counts.  Each plaintext is
-    reduced to the XOR of its keys by ``_xor_keys``, whatever the key length.
+    message or link key, a link key that is not an int in [0, 2^key_len),
+    or a ciphertext of the wrong bit length is a ValidationError.  A link's
+    last message counts.  Each plaintext is reduced to the XOR of its keys
+    by ``_xor_keys``, whatever the key length.
     """
     _check_scheme(seg, scheme)
     key_len = transcript.key_len
@@ -243,10 +235,13 @@ def reconstruct_at_endpoint(
             raise ValidationError("transcript does not cover every route key")
         if link not in link_keys_of_last_node:
             raise ValidationError(f"missing link key for {link}")
+        link_key = link_keys_of_last_node[link]
+        if not isinstance(link_key, int) or link_key < 0 or link_key >> key_len:
+            raise ValidationError(f"link key for {link} must be an int in [0, 2^{key_len})")
         ciphertext, nbits = ciphertexts[link], len(bundle) * key_len
         if ciphertext < 0 or ciphertext >> nbits:
             raise ValidationError(f"ciphertext on {link} has wrong bit length")
-        plaintext = ciphertext ^ _keystream(link_keys_of_last_node[link], key_len, nbits)
+        plaintext = ciphertext ^ _keystream(link_key, key_len, nbits)
         final_key ^= _xor_keys(plaintext, len(bundle), key_len)
     return final_key
 

@@ -83,11 +83,6 @@ class Bundle:
             return tuple(self) == tuple(other)
         return NotImplemented
 
-    def __add__(self, other) -> tuple[int, ...]:
-        if isinstance(other, (Bundle, tuple)):
-            return tuple(self) + tuple(other)
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"Bundle(starts={self.starts!r}, width={self.width})"
 
@@ -246,11 +241,3 @@ def build_routing_scheme(seg: NetworkSegment, cap: int | None = None) -> Routing
             offset += tail[b]
     return RoutingScheme(segment=seg, per_link_bundles=bundles, route_count=counts[-1])
 
-
-def min_link_cut_size(seg: NetworkSegment) -> int:
-    """Size of the smallest link set whose interception covers every route.
-
-    The out-edges of node 1 (or the in-edges of node N) form such a set of
-    size c, and no smaller set exists.
-    """
-    return seg.density

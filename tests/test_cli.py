@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import shlex
 import subprocess
@@ -475,13 +476,29 @@ def test_demo_protocol(capsys, tmp_path):
     assert len(transcript["messages"]) == 9
 
 
-# sha256 of stdout, recorded before the key packing became linear; every
-# ciphertext digest line depends on the packed route keys.
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def masked(out):
+    """demo-protocol stdout with every ciphertext digest replaced by ``*``:
+    the bytes that do not depend on the keystream."""
+    return re.sub(r"digest=[0-9a-f]+", "digest=*", out)
+
+
+# Each demo-protocol pin below is a pair.  The sha256 of the masked stdout
+# was recorded before the keystream became one SHAKE-256 call, and holds
+# across that change.  The sha256 of the full stdout, whose digest fields
+# cover the ciphertexts, was recorded after it.
 PINNED_DEMO_STDOUT = {
-    ("--n", "20", "--c", "2", "--seed", "3"):
-        "b18c5c7d00553805f6b655e38b2a762d2249bd694bddbb1541241e3ff0f35e97",
-    ("--n", "12", "--c", "4", "--key-len", "7", "--seed", "5"):
-        "ed99f080cda00a4f120ed335d1edb7c3aa465f6f0c356e8b67043cb5a0e42c84",
+    ("--n", "20", "--c", "2", "--seed", "3"): (
+        "daf9fcfaaba49ae2e3ab5d97f7063ea030298a4dd85742ae74d83b895da67eb3",
+        "f1b46e270bf32a47fc35c60583b4321794aa1833360cf5097d01763c777029fd",
+    ),
+    ("--n", "12", "--c", "4", "--key-len", "7", "--seed", "5"): (
+        "e5f33aab988b7e5a5a04530538be8deddf51da5f8f18a99915b8b4b122d32d27",
+        "c3e06823a508016ee53c75cb2364f4dab91e14363e266f1cd313b16a27738dfd",
+    ),
 }
 
 
@@ -489,31 +506,41 @@ PINNED_DEMO_STDOUT = {
 def test_demo_protocol_pinned_bytes(capsys, args):
     code, out, _ = run_cli(capsys, "demo-protocol", *args)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEMO_STDOUT[args]
+    assert (sha256(out), sha256(masked(out))) == PINNED_DEMO_STDOUT[args]
 
 
-# sha256 of the stdout of demo-protocol at each of the benchmark's segments,
-# with seed i for the i-th, concatenated in that order; recorded before
-# bundles were stored as blocks of consecutive ids.
-PINNED_BENCH_DEMO_STDOUT = "5f1fa391bc6bd948fe4817de51949b6d19be63c0a3c8cbf604bb45c6d21c8b73"
+# The stdout of demo-protocol at each of the benchmark's segments, with
+# seed i for the i-th, concatenated in that order; the masked digest was
+# also unchanged when bundles were stored as blocks of consecutive ids.
+PINNED_BENCH_DEMO_STDOUT = (
+    "936457a307c941549f2829e2f5f2ceef9a6b5cd65a5e15b06e26fd142dd9ef07",
+    "d28b5e70b73efd925206ba405f51859e8481643602cdcad43672e935aabe82ae",
+)
 
 
 def test_demo_protocol_at_benchmark_sizes_pinned_bytes(capsys):
-    digest = hashlib.sha256()
+    outs = []
     for seed, (n, c) in enumerate(DEMO_SEGMENTS):
         code, out, err = run_cli(
             capsys, "demo-protocol", "--n", str(n), "--c", str(c), "--seed", str(seed)
         )
         assert code == 0, err
-        digest.update(out.encode())
-    assert digest.hexdigest() == PINNED_BENCH_DEMO_STDOUT
+        outs.append(out)
+    out = "".join(outs)
+    assert (sha256(out), sha256(masked(out))) == PINNED_BENCH_DEMO_STDOUT
 
 
-# sha256 of stdout, recorded before messages were packed and split on bytes:
-# a byte-aligned length above 512 bits (pre-hashed link keys), and a
-# corrupted session.
-PINNED_DEMO_LONG_KEY_STDOUT = "eb5fbc9a4c4cca9dd14aa98250ec54261d38fda9d52b6a5d08990c84bf220ef0"
-PINNED_DEMO_CORRUPT_STDOUT = "1bceb38f28c0318f06e213c8aea290df41051d78cdb54a1180c0cdef2e267499"
+# A byte-aligned key length above 512 bits (once the pre-hashed link
+# keys), and a corrupted session; the masked digests were also unchanged
+# when messages were packed and split on bytes.
+PINNED_DEMO_LONG_KEY_STDOUT = (
+    "2a60276f1978c9ccea42b3d93c91cdcba5a9f3290ee3198eee0a6727f3b546a7",
+    "479985853d4c2f6cb886fcf630c3473e3c019ddf43d54fe3561c3f6536a431fa",
+)
+PINNED_DEMO_CORRUPT_STDOUT = (
+    "dfbcde37edef053af039f8fd2f21e710e7d4edbef076911bd694b9a9e529d1ac",
+    "db2164ee5cf8e0fba3868e89eddf4c26210fbdc471b177080ea97bbbc5c94931",
+)
 
 
 def test_demo_protocol_pinned_bytes_long_key_and_corrupt(capsys):
@@ -521,30 +548,34 @@ def test_demo_protocol_pinned_bytes_long_key_and_corrupt(capsys):
         capsys, "demo-protocol", "--n", "13", "--c", "4", "--key-len", "1024", "--seed", "11"
     )
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEMO_LONG_KEY_STDOUT
+    assert (sha256(out), sha256(masked(out))) == PINNED_DEMO_LONG_KEY_STDOUT
     code, out, _ = run_cli(
         capsys, "demo-protocol", "--n", "12", "--c", "4", "--seed", "2", "--corrupt"
     )
     assert code == 4
     assert out.endswith("endpoint reconstruction: FAIL\n")
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DEMO_CORRUPT_STDOUT
+    assert (sha256(out), sha256(masked(out))) == PINNED_DEMO_CORRUPT_STDOUT
 
 
-# sha256 recorded before the routing scheme was built from prefix ranks.
+# sha256 recorded before the routing scheme was built from prefix ranks;
+# the transcript's, which holds the ciphertexts, after the keystream became
+# one SHAKE-256 call, and its stdout's masked digest before.
 PINNED_SCHEME_STDOUT = "9f53853dbf2721e978d447469f09639f44f4eee722cce4173880ad2ef9dc2127"
-PINNED_DEMO_JSON_OUT = "c940fd4d6ecf3757409ddff325e8c67722ecbff68f7ac4b6df88e0f12f263be2"
+PINNED_DEMO_JSON_OUT = "671abe5f88682760021e76c45336c2fbee08461179b4c411eac8702f8f5e0cf2"
+PINNED_DEMO_JSON_MASKED_STDOUT = "85ad74ae6a88444a95dd0b3710d90a0f96b6974d19217036a1734964b459c46a"
 
 
 def test_routes_scheme_and_transcript_pinned_bytes(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "routes", "--n", "12", "--c", "4", "--scheme")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCHEME_STDOUT
+    assert sha256(out) == PINNED_SCHEME_STDOUT
     target = tmp_path / "transcript.json"
-    code, _, _ = run_cli(
+    code, out, _ = run_cli(
         capsys, "demo-protocol", "--n", "16", "--c", "3", "--seed", "9",
         "--json-out", str(target),
     )
     assert code == 0
+    assert sha256(masked(out)) == PINNED_DEMO_JSON_MASKED_STDOUT
     assert hashlib.sha256(target.read_bytes()).hexdigest() == PINNED_DEMO_JSON_OUT
 
 
@@ -770,7 +801,9 @@ def test_analysis_commands_pinned_bytes(capsys):
 # the option (if any) that names their output file.  The sha256 of each
 # stdout, followed by the file it wrote, in this order, was recorded before
 # the writers were merged, for the simulate lines again when the simulate
-# draw last changed.
+# draw last changed, and for the demo-protocol line (whose file holds
+# ciphertexts) again when the keystream last changed; that line's masked
+# stdout is pinned from before the keystream change.
 PINNED_SIMULATE_ARGV = [
     ("simulate --n 20 --c 3 --p-node 0.6 --p-link 0.3 --trials 15 --seed 7",
      "--progress-csv"),
@@ -783,9 +816,11 @@ PINNED_SIMULATE_BYTES = "dcb89c4ca6cdedd79202dd74c939a13d951fa4a9873841675f27c96
 PINNED_WRITER_ARGV = [
     ("routes --n 9 --c 3 --edges", None),
     ("routes --n 8 --c 3 --enumerate", None),
-    ("demo-protocol --n 9 --c 3 --key-len 13 --seed 4", "--json-out"),
 ]
-PINNED_WRITER_BYTES = "cc3d379fc8ed09b8dc417ae7479a949f234a8194b524339253cef5e31d837ae9"
+PINNED_WRITER_BYTES = "9e9335dc0f93e6440f328becef78ab06056e425787234e0d938618fbd20f7797"
+PINNED_DEMO_WRITER_ARGV = [("demo-protocol --n 9 --c 3 --key-len 13 --seed 4", "--json-out")]
+PINNED_DEMO_WRITER_BYTES = "8f32ffa3beeb1b3e04eb03ffdafef2b08f5ed09e146cef6ba770902b6cd15fba"
+PINNED_DEMO_WRITER_MASKED_STDOUT = "1b34db3373022918ff3f3eeb03d10edc4bf525bbd30c6afbccd7119f9f898090"
 
 
 def writer_outputs(capsys, tmp_path, pinned_argv):
@@ -807,6 +842,9 @@ def writer_outputs(capsys, tmp_path, pinned_argv):
 
 def test_writer_commands_pinned_bytes(capsys, tmp_path):
     assert writer_outputs(capsys, tmp_path, PINNED_WRITER_ARGV)[0] == PINNED_WRITER_BYTES
+    digest, (out,) = writer_outputs(capsys, tmp_path, PINNED_DEMO_WRITER_ARGV)
+    assert sha256(masked(out)) == PINNED_DEMO_WRITER_MASKED_STDOUT
+    assert digest == PINNED_DEMO_WRITER_BYTES
 
 
 def test_simulate_pinned_bytes_agree_with_exact_values(capsys, tmp_path):

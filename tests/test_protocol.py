@@ -264,13 +264,11 @@ def test_xor_linearity_of_final_key():
 
 
 def test_long_link_keys_do_not_alias():
-    # BLAKE2b takes at most 64-byte keys; 1024-bit keys that differ only in
-    # their lowest bit must still give different keystreams.
+    # 1024-bit keys that differ only in their lowest bit must give
+    # different keystreams.
     assert _keystream(1 << 1000, 1024, 512) != _keystream((1 << 1000) + 1, 1024, 512)
-    # keys of up to 64 bytes are used as the BLAKE2b key unchanged
-    key = (1 << 511) + 12345
-    block = hashlib.blake2b((0).to_bytes(8, "big"), key=key.to_bytes(64, "big")).digest()
-    assert _keystream(key, 512, 512) == int.from_bytes(block, "big")
+    # equal key bytes under different key lengths must too
+    assert _keystream(1, 9, 64) != _keystream(1, 16, 64)
 
 
 def reference_concat_keys(keys, key_len):
@@ -336,20 +334,17 @@ def test_byte_packing_matches_shift_or_packing(key_len):
         assert _xor_keys(packed, len(bundle), key_len) == xor_all(keys)
 
 
-@pytest.mark.parametrize("key_len", [256, 512, 1024])
-def test_keystream_matches_keyed_blake2b_blocks(key_len):
-    # Block i is blake2b(counter i, key=link key), the key pre-hashed when
-    # longer than 64 bytes; the keystream is the first nbits of the blocks.
+@pytest.mark.parametrize("key_len", [1, 7, 128, 256, 512, 1024, MAX_KEY_LEN])
+def test_keystream_matches_shake256_replay(key_len):
+    # The keystream is the first nbits of SHAKE-256 over the key length as
+    # 4 big-endian bytes, then the key as (key_len + 7) // 8 big-endian bytes.
     rng = random.Random(key_len)
     link_key = rng.getrandbits(key_len) | 1 << (key_len - 1)
-    key = link_key.to_bytes(key_len // 8, "big")
-    if len(key) > 64:
-        key = hashlib.blake2b(key).digest()
-    nbits = 3 * 512 + 40
-    blocks = b"".join(
-        hashlib.blake2b(counter.to_bytes(8, "big"), key=key).digest() for counter in range(4)
-    )
-    assert _keystream(link_key, key_len, nbits) == int.from_bytes(blocks, "big") >> (512 - 40)
+    message = key_len.to_bytes(4, "big") + link_key.to_bytes((key_len + 7) // 8, "big")
+    for nbits in (1, 8, 3 * 512 + 43, key_len * 5):
+        out = hashlib.shake_256(message).digest(-(-nbits // 8))
+        expected = int.from_bytes(out, "big") >> (-nbits % 8)
+        assert _keystream(link_key, key_len, nbits) == expected
 
 
 @pytest.mark.parametrize("key_len", [1, 8])
@@ -361,6 +356,21 @@ def test_reconstruct_rejects_wrong_bit_length(key_len):
     corrupted = SessionTranscript(messages=tuple(messages), key_len=key_len)
     with pytest.raises(ValidationError, match="wrong bit length"):
         reconstruct_at_endpoint(seg, scheme, corrupted, endpoint_keys(seg, keys))
+
+
+@pytest.mark.parametrize(
+    "key_len,bad_key",
+    [(128, 1 << 200), (128, -1), (128, 1.5), (9, 1 << 12)],
+    ids=["too-wide", "negative", "float", "13-bits-at-9"],
+)
+def test_reconstruct_rejects_link_key_outside_key_len_bits(key_len, bad_key):
+    # Too wide for the key's bytes, negative, not an int, and wider than
+    # key_len bits yet within its (key_len + 7) // 8 bytes.
+    seg, scheme, keys, transcript, final_key = session(6, 2, key_len=key_len)
+    link_keys = endpoint_keys(seg, keys)
+    link_keys[Link(5, 6)] = bad_key
+    with pytest.raises(ValidationError, match=f"link key for .* must be an int in \\[0, 2\\^{key_len}\\)"):
+        reconstruct_at_endpoint(seg, scheme, transcript, link_keys)
 
 
 @pytest.mark.parametrize("key_len", [1, 8])
