@@ -48,8 +48,8 @@ class Bundle:
     """The ascending route ids (1-based) carried on one link, as blocks of
     ``width`` consecutive ids, one block from each id in ``starts``.
 
-    A read-only sequence of ints (``len``, iteration and indexing) that
-    compares equal to the tuple of its ids.  ``slices`` reads it one block
+    A read-only collection of ints (``len`` and iteration) that compares
+    equal to the tuple of its ids.  ``slices`` reads it one block
     at a time, which is how the protocol and the CLI use it.
     """
 
@@ -73,10 +73,6 @@ class Bundle:
     def __iter__(self) -> Iterator[int]:
         width = self.width
         return chain.from_iterable(range(start, start + width) for start in self.starts)
-
-    def __getitem__(self, index: int) -> int:
-        block, offset = divmod(range(len(self))[index], self.width)
-        return self.starts[block] + offset
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Bundle, tuple)):

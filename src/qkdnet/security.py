@@ -159,8 +159,9 @@ def epsilon_qn(
     eps2a = epsilon2_approx(seg, params.eps_qkd)
     eps1e = eps2e = None
     if mode == "exact":
-        eps1e = epsilon1_exact(seg, params.eps_auth)
+        # eps2 first: its density cap refuses before the eps1 chain runs
         eps2e = epsilon2_exact(seg, params.eps_qkd)
+        eps1e = epsilon1_exact(seg, params.eps_auth)
         raw_sum = eps1e + eps2e
     else:
         raw_sum = eps1a + eps2a

@@ -14,17 +14,19 @@ sampling (Marsaglia, Tsang and Wang): 16 bits of raw PCG64 output pick
 the pattern from a 65,536-entry table, and the few cells of the table
 that a boundary of the law crosses take 56 more bits (the lazy
 binary-expansion comparison of Knuth and Yao), so each pattern's
-probability is within 2^-72 of exact (``_draw_hits``).  A block holds
+probability is within 2^-72 of exact (``_draw_hits``).  A block spans
 at most ``BLOCK_BYTES`` of packed node and link words, or one word per row
-when a segment has more rows than that, and its rows are drawn in chunks
-of at most ``CHUNK_LANES`` lanes, so memory does not grow with ``trials``;
-only running counts carry over from one block to the next.  The node
-attack is scored by its definition, a run of c compromised interior
-nodes (``_node_verdicts``), and the link attack by one reachability chain
-over the band (``_link_verdicts``).  See ``run_trials`` for the draw order,
-the memory bound and the work cap.  The byte draw is the seeded stream's
-third change, after blocks and bit-slicing: a seed gives other, equally
-valid, estimates than in earlier versions.
+when a segment has more rows than that.  Its rows are drawn in chunks of
+at most ``CHUNK_LANES`` lanes, and each chunk is scored as it is drawn,
+so memory grows with neither ``trials`` nor N: the scorers carry O(c)
+rows from one chunk to the next, and only running counts carry over from
+one block to the next.  The node attack is scored by its definition, a
+run of c compromised interior nodes (``_node_verdicts``), and the link
+attack by one reachability chain over the band (``_link_verdicts``).
+See ``run_trials`` for the draw order, the memory bound and the work
+cap.  The byte draw is the seeded stream's third change, after blocks
+and bit-slicing: a seed gives other, equally valid, estimates than in
+earlier versions.
 
 ``node_attack_succeeds`` and ``link_attack_succeeds`` score one trial
 from explicit sets: they validate the sets, mark them in a one-trial mask
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -121,31 +123,33 @@ def _byte_law(p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return law
 
 
-def _draw_hits(rng: np.random.Generator, p: float, rows: int, words: int) -> np.ndarray:
-    """A (rows, words) ``uint64`` array whose bits are independent
-    Bernoulli(p) lanes, bit t of a word being lane t (little-endian).
+def _draw_hits(
+    rng: np.random.Generator, p: float, rows: int, words: int
+) -> Iterator[np.ndarray]:
+    """Yields the rows of a (rows, words) ``uint64`` array whose bits are
+    independent Bernoulli(p) lanes, bit t of a word being lane t
+    (little-endian), in order, as chunks of as many whole rows as fit in
+    ``CHUNK_LANES`` lanes (at least one).  Each chunk is a new array, drawn
+    only when the consumer asks for it.
 
-    p = 0 and p = 1 draw nothing.  Otherwise rows are drawn in order, in
-    chunks of as many whole rows as fit in ``CHUNK_LANES`` lanes (at least
-    one).  Each output byte holds 8 lanes of one row, bit t being lane t,
-    and is one draw from the law of the 256 byte patterns,
-    P(b) = p^k (1 - p)^(8 - k) for k = popcount(b).  A chunk of k rows
-    takes ``2 * words * k`` raw PCG64 outputs, read as little-endian
-    ``uint16`` cells, one per output byte in row-major order; cell u is
-    the top 16 bits of a 72-bit uniform and maps through the table of
-    ``_byte_law`` to its pattern.  Then the cells with a pattern boundary
-    strictly inside them, in the same order, each take one more raw
-    output, whose top 56 bits are the low bits of the uniform.  Each
+    p = 0 and p = 1 draw nothing.  Otherwise each output byte holds 8
+    lanes of one row, bit t being lane t, and is one draw from the law of
+    the 256 byte patterns, P(b) = p^k (1 - p)^(8 - k) for k = popcount(b).
+    A chunk of k rows takes ``2 * words * k`` raw PCG64 outputs, read as
+    little-endian ``uint16`` cells, one per output byte in row-major order;
+    cell u is the top 16 bits of a 72-bit uniform and maps through the
+    table of ``_byte_law`` to its pattern.  Then the cells with a pattern
+    boundary strictly inside them, in the same order, each take one more
+    raw output, whose top 56 bits are the low bits of the uniform.  Each
     pattern's probability is within 2^-72 of exact.
     """
-    if p == 0.0:
-        return np.zeros((rows, words), dtype=np.uint64)
-    if p == 1.0:
-        return np.full((rows, words), ~np.uint64(0))
-    table, keys, base = _byte_law(p)
-    out = np.empty((rows, words), dtype=np.uint64)
-    flat = out.view(np.uint8).reshape(-1)
     step = max(1, CHUNK_LANES // (64 * words))
+    if p in (0.0, 1.0):
+        fill = ~np.uint64(0) if p else np.uint64(0)
+        for row in range(0, rows, step):
+            yield np.full((min(step, rows - row), words), fill)
+        return
+    table, keys, base = _byte_law(p)
     for row in range(0, rows, step):
         k = min(step, rows - row)
         raw = rng.bit_generator.random_raw(2 * words * k)
@@ -161,55 +165,83 @@ def _draw_hits(rng: np.random.Generator, p: float, rows: int, words: int) -> np.
         low = rng.bit_generator.random_raw(refine.size) >> np.uint64(64 - _REFINE_BITS)
         x = j.astype(np.uint64) << np.uint64(_REFINE_BITS) | low
         patterns[refine] = base[j] + np.searchsorted(keys, x, side="right")
-        flat[8 * words * row : 8 * words * (row + k)] = patterns
-    return out
+        yield patterns.astype(np.uint8).view(np.uint64).reshape(k, words)
 
 
-def _node_verdicts(seg: NetworkSegment, hits: np.ndarray) -> np.ndarray:
+def _node_verdicts(seg: NetworkSegment, chunks: Iterable[np.ndarray]) -> np.ndarray:
     """Per-trial node attack verdicts: set where some c consecutive
     interior nodes are all compromised.
 
-    ``hits`` has one row per interior node 2..N-1, set where compromised;
-    columns are trials, either bools, one trial per element, or ``uint64``
-    words, one trial per bit.  Row k of ``run`` starts as node k + c + 1
-    and takes c - 1 ANDs with the rows before it, so it ends as the AND of
-    the window of c nodes k + 2 .. k + c + 1; the verdict is the OR over
-    the N - c - 1 windows.  At c = N - 1 there is no window and the
-    verdict is 0.
+    ``chunks`` yields the rows, one per interior node 2..N-1, set where
+    compromised, in order, as arrays of one or more rows; columns are
+    trials, either bools, one trial per element, or ``uint64`` words, one
+    trial per bit.  Each chunk is scored after the last c - 1 rows before
+    it: row k of ``run`` starts as the row c - 1 places after row k and
+    takes c - 1 ANDs with the rows before it, so it ends as the AND of a
+    window of c nodes; each of the N - c - 1 windows is scored once, in
+    the chunk that holds its last node.  The verdict is the OR over
+    the windows; at c = N - 1 there is no window and it is 0.
     """
-    c = seg.density
-    run = hits[c - 1 :].copy()
-    for shift in range(c - 1):
-        run &= hits[shift : shift + len(run)]
-    return np.bitwise_or.reduce(run, axis=0)
+    keep = seg.density - 1
+    verdict = carry = None
+    for chunk in chunks:
+        if verdict is None:
+            verdict = np.zeros(chunk.shape[1:], dtype=chunk.dtype)
+            carry = chunk[:0]
+        rows = np.concatenate((carry, chunk)) if len(carry) else chunk
+        run = rows[keep:].copy()
+        for shift in range(keep):
+            run &= rows[shift : shift + len(run)]
+        verdict |= np.bitwise_or.reduce(run, axis=0)
+        carry = rows[max(0, len(rows) - keep) :].copy()
+    return verdict
 
 
-def _link_verdicts(seg: NetworkSegment, clean: np.ndarray) -> np.ndarray:
+def _link_verdicts(seg: NetworkSegment, chunks: Iterable[np.ndarray]) -> np.ndarray:
     """Per-trial link attack verdicts: set where no route from node 1 to
     node N is clean.
 
-    ``clean`` has one row per link in ascending (dst, src) order, set
-    where not intercepted, in the column forms of ``_node_verdicts``.  A
-    forward reachability chain from node 1 reaches node j when the link
+    ``chunks`` yields the rows, one per link in ascending (dst, src)
+    order, set where not intercepted, in the forms of ``_node_verdicts``.
+    A forward reachability chain from node 1 reaches node j when the link
     from one of its (up to c) reached predecessors is clean; listing links
     by (dst, src) makes the in-links of j consecutive rows, aligned with
-    the predecessor rows.  The attack succeeds where node N is not
-    reached.
+    the predecessor rows.  Node j <= c has j - 1 in-links and the nodes
+    after it c each.  The reached rows live in a ring of 2c rows whose
+    rows i .. i + c - 1 hold the last c nodes: node j goes to row i + c,
+    and when i reaches c the last c rows move to the front.  The in-link
+    rows of a node that a chunk boundary splits, at most c - 1, wait for
+    the next chunk.  The attack succeeds where node N is not reached.
     """
-    n, c = seg.n_nodes, seg.density
-    size = clean.shape[1]
-    # Row j-1 holds node j.
-    reach = np.empty((n, size), dtype=clean.dtype)
-    window = np.empty((c, size), dtype=clean.dtype)
-    reach[0] = ~clean.dtype.type(0)
-    row = 0
-    for j in range(2, n + 1):
-        lo = max(j - c, 1)
-        k = j - lo
-        np.bitwise_and(reach[lo - 1 : j - 1], clean[row : row + k], out=window[:k])
-        np.bitwise_or.reduce(window[:k], axis=0, out=reach[j - 1])
-        row += k
-    return ~reach[n - 1]
+    c = seg.density
+    reach = None
+    for chunk in chunks:
+        if reach is None:
+            reach = np.empty((2 * c, *chunk.shape[1:]), dtype=chunk.dtype)
+            window = np.empty_like(reach[:c])
+            lasts = [reach[i : i + c] for i in range(c)]
+            nexts = [reach[i + c] for i in range(c)]
+            reach[0] = ~chunk.dtype.type(0)
+            j, i, held = 2, 0, chunk[:0]
+        rows = np.concatenate((held, chunk)) if len(held) else chunk
+        row = 0
+        while j <= c and row + j - 1 <= len(rows):
+            k = j - 1
+            np.bitwise_and(reach[:k], rows[row : row + k], out=window[:k])
+            np.bitwise_or.reduce(window[:k], axis=0, out=reach[k])
+            j, row = j + 1, row + k
+        if j > c:
+            nodes = (len(rows) - row) // c
+            for links in rows[row : row + nodes * c].reshape(nodes, *window.shape):
+                if i == c:
+                    reach[:c] = reach[c:]
+                    i = 0
+                np.bitwise_and(lasts[i], links, out=window)
+                np.bitwise_or.reduce(window, axis=0, out=nexts[i])
+                i += 1
+            row += nodes * c
+        held = rows[row:].copy()
+    return ~reach[i + c - 1]
 
 
 def node_attack_succeeds(seg: NetworkSegment, compromised) -> bool:
@@ -217,7 +249,7 @@ def node_attack_succeeds(seg: NetworkSegment, compromised) -> bool:
     compromised = CompromiseScenario.of(seg, nodes=compromised).compromised_nodes
     rows = (node in compromised for node in seg.interior_nodes)
     hits = np.fromiter(rows, dtype=bool, count=seg.n_nodes - 2).reshape(-1, 1)
-    return bool(_node_verdicts(seg, hits)[0])
+    return bool(_node_verdicts(seg, [hits])[0])
 
 
 def link_attack_succeeds(seg: NetworkSegment, intercepted) -> bool:
@@ -226,7 +258,7 @@ def link_attack_succeeds(seg: NetworkSegment, intercepted) -> bool:
     n, c = seg.n_nodes, seg.density
     rows = ((i, j) not in intercepted for j in range(2, n + 1) for i in range(max(j - c, 1), j))
     clean = np.fromiter(rows, dtype=bool, count=seg.edge_count).reshape(-1, 1)
-    return bool(_link_verdicts(seg, clean)[0])
+    return bool(_link_verdicts(seg, [clean])[0])
 
 
 def run_trials(
@@ -251,16 +283,15 @@ def run_trials(
     0 or 1 draws nothing.  Each 8-lane hit pattern has its probability to
     within 2^-72, and this draw is the seeded stream's third change (see
     the module docstring).  Bits past the last trial are drawn and scored
-    but not counted.  Memory does not grow with ``trials``.  Up to
-    ``BLOCK_BYTES // 8`` = 131,072 node and link rows it is bounded by the
-    block, ``BLOCK_BYTES`` (1 MB) of packed words, plus about 0.75 bytes
-    per lane of one chunk (0.4 MB) of temporaries.  Past that W stays 1, so
-    memory grows with the rows, N - 2 + c(2N - c - 1)/2: 8 bytes per row
-    for the block's words and 8 bytes per node for the window ANDs of
-    ``_node_verdicts`` or the reachability chain of ``_link_verdicts``,
-    at most about 12 bytes per row, plus the chunk temporaries (32 MB at
-    N = 1e6, c = 2).  The running counts in ``progress`` come from the
-    same draw as the totals.
+    but not counted.  The scorers take each chunk as it is drawn, and the
+    link chunks are inverted in place, so no block is ever whole in
+    memory: a call holds one chunk of at most ``CHUNK_LANES`` lanes (64 KB
+    of words), about 0.75 bytes per lane of its draw temporaries (0.4 MB),
+    and about 5c rows of W words that the scorers carry across chunks,
+    whatever N and ``trials`` are.  Measured with tracemalloc, that was
+    0.55-0.6 MB of allocations from N = 200 to 1e5, and at most 1.7 MB
+    for small segments with wide rows (N <= 20, 6e5 trials).  The running
+    counts in ``progress`` come from the same draw as the totals.
 
     Before drawing, a run whose work, N node steps per block plus its
     drawn words, rows * ceil(trials / 64), over ``WORDS_PER_WORK_UNIT``,
@@ -292,8 +323,10 @@ def run_trials(
     for start in range(0, trials, block):
         size = min(block, trials - start)
         used = -(-size // 64)
+        # each chunk is drawn when its scorer asks for it, so all node rows
+        # are drawn before the first link row
         hits = _draw_hits(rng, p_node, interior, used)
-        clean = ~_draw_hits(rng, p_link, edges, used)
+        clean = (np.invert(rows, out=rows) for rows in _draw_hits(rng, p_link, edges, used))
         # unpack the verdict words to one bool per trial, dropping spare bits
         auth, link = (
             np.unpackbits(v.view(np.uint8), count=size, bitorder="little").view(bool)

@@ -24,6 +24,7 @@ from qkdnet import (
     make_segment,
     p_success_exact,
 )
+from qkdnet import chains
 from qkdnet.cli import main
 from qkdnet.security import MAX_WINDOW_DENSITY
 
@@ -184,3 +185,38 @@ def test_window_density_cap(capsys):
                  "--eps-qkd", "0.1", "--mode", "exact"])
     assert code == 3
     assert "window states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "n,c,eps_auth,eps_qkd",
+    [
+        # the eps1 chain's list would not fit an index: OverflowError
+        (10**20, 2**63 + 1, 0.5, 0.0),
+        # about 1.4 s of eps1 chain
+        (10**6, 3000, 0.9, 0.1),
+        # about 8 GB of eps1 chain state
+        (10**13, 10**9, 0.5, 0.5),
+        (MAX_WINDOW_DENSITY + 3, MAX_WINDOW_DENSITY + 1, 0.1, 0.1),
+    ],
+)
+def test_exact_analysis_checks_the_density_cap_before_the_eps1_chain(
+    capsys, monkeypatch, n, c, eps_auth, eps_qkd
+):
+    def refuse(*args):
+        raise AssertionError("the eps1 chain was built before the density cap was checked")
+
+    monkeypatch.setattr(chains, "RunsChain", refuse)
+    code = main(["analyze", "--n", str(n), "--c", str(c), "--eps-auth", str(eps_auth),
+                 "--eps-qkd", str(eps_qkd), "--mode", "exact"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: density {c} needs 2^{c} window states")
+    assert "Traceback" not in err
+
+
+def test_exact_analysis_reports_eps1_argument_errors_before_the_density_cap(capsys):
+    # c = N - 1 is above the density cap as well
+    code = main(["analyze", "--n", "25", "--c", "24", "--eps-auth", "0.5", "--eps-qkd", "0.1",
+                 "--mode", "exact"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: c must be in [1, 23], got 24\n"

@@ -166,9 +166,6 @@ def test_bundle_is_a_read_only_sequence_equal_to_its_id_tuple(n, c):
         assert bundle == ids and ids == bundle
         assert bundle == Bundle(array("q", ids), 1)
         assert bundle != list(ids) and bundle != ids[:-1] and bundle != (*ids, last)
-        assert [bundle[i] for i in range(-len(ids), len(ids))] == [*ids, *ids]
-        with pytest.raises(IndexError):
-            bundle[len(ids)]
         with pytest.raises(TypeError):
             bundle + (last,)  # join ids as (*bundle, last)
         with pytest.raises(TypeError):

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import itertools
 import math
 import time
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from rational_oracle import has_run_of_c, reaches_last
+from test_imports import run_fresh
 
 from qkdnet import (
     CapExceededError,
@@ -25,7 +27,6 @@ from qkdnet import (
 )
 from qkdnet import simulator
 from qkdnet.simulator import (
-    BLOCK_BYTES,
     CHUNK_LANES,
     _byte_law,
     _draw_hits,
@@ -260,7 +261,7 @@ def test_score_block_matches_predicates(n, data):
         data.draw(st.lists(flags, min_size=seg.edge_count, max_size=seg.edge_count)),
         dtype=bool,
     )
-    auth, link = _node_verdicts(seg, hits), _link_verdicts(seg, clean)
+    auth, link = _node_verdicts(seg, [hits]), _link_verdicts(seg, [clean])
     rows = link_rows(seg)
     for t in range(size):
         compromised = {node for node, hit in zip(seg.interior_nodes, hits[:, t]) if hit}
@@ -284,6 +285,11 @@ def unpack(words, size):
     return np.unpackbits(words.view(np.uint8), count=size, bitorder="little").astype(bool)
 
 
+def draw_all(rng, p, rows, words):
+    """The chunks that ``_draw_hits`` yields, as one (rows, words) array."""
+    return np.concatenate(list(_draw_hits(rng, p, rows, words)))
+
+
 @pytest.mark.parametrize("n", range(3, 14))
 def test_score_block_words_match_bools(n):
     rng = np.random.default_rng(n)
@@ -292,8 +298,8 @@ def test_score_block_words_match_bools(n):
         size = 200
         hits = rng.random((n - 2, size)) < 0.5
         clean = rng.random((seg.edge_count, size)) < 0.6
-        auth, link = _node_verdicts(seg, hits), _link_verdicts(seg, clean)
-        auth_w, link_w = _node_verdicts(seg, pack(hits)), _link_verdicts(seg, pack(clean))
+        auth, link = _node_verdicts(seg, [hits]), _link_verdicts(seg, [clean])
+        auth_w, link_w = _node_verdicts(seg, [pack(hits)]), _link_verdicts(seg, [pack(clean)])
         assert auth_w.dtype == link_w.dtype == np.uint64
         assert np.array_equal(unpack(auth_w, size), auth)
         assert np.array_equal(unpack(link_w, size), link)
@@ -305,10 +311,10 @@ def test_verdict_words_match_references_at_benchmark_sizes(n, c):
     seg, trials = make_segment(n, c), 300
     words = -(-trials // 64)
     rng = np.random.default_rng(n + c)
-    hits = _draw_hits(rng, 0.5, n - 2, words)
-    clean = ~_draw_hits(rng, 0.5, seg.edge_count, words)
-    auth = unpack(_node_verdicts(seg, hits), trials)
-    link = unpack(_link_verdicts(seg, clean), trials)
+    hits = draw_all(rng, 0.5, n - 2, words)
+    clean = ~draw_all(rng, 0.5, seg.edge_count, words)
+    auth = unpack(_node_verdicts(seg, [hits]), trials)
+    link = unpack(_link_verdicts(seg, [clean]), trials)
     hit_lanes, clean_lanes = (
         np.unpackbits(m.view(np.uint8), axis=1, bitorder="little").astype(bool)
         for m in (hits, clean)
@@ -366,7 +372,7 @@ def test_draw_hits_replays_raw_bytes_and_tie_floats(p, rows, words):
     cells, and the tie cells refined by raw outputs (the test keeps the
     name it had when ties were refined by floats, so its ids stay)."""
     rng = np.random.default_rng(31)
-    drawn = _draw_hits(rng, p, rows, words)
+    drawn = draw_all(rng, p, rows, words)
     assert drawn.shape == (rows, words) and drawn.dtype == np.uint64
     lanes = unpack(drawn, rows * words * 64)
 
@@ -402,7 +408,7 @@ def test_draw_hits_at_refined_boundaries(p):
         batch = (xs[at : at + 8] * 8)[:8]
         cells = sum(x >> 56 << 16 * i for i, x in enumerate(batch))
         raws = [cells & (1 << 64) - 1, cells >> 64] + [(x & mask) << 8 for x in batch]
-        drawn = _draw_hits(ScriptedBits(raws), p, 1, 1)
+        drawn = draw_all(ScriptedBits(raws), p, 1, 1)
         expected = [bisect.bisect_right(bounds, x) for x in batch]
         assert drawn.view(np.uint8).ravel().tolist() == expected
 
@@ -433,7 +439,7 @@ def test_byte_law_is_exact_to_2_pow_minus_72(p):
 def block_trials(seg):
     """Trials per block: 64 per word, words per row as documented."""
     rows = seg.n_nodes - 2 + seg.edge_count
-    return 64 * max(1, min(BLOCK_BYTES // (8 * rows), CHUNK_LANES // 64))
+    return 64 * max(1, min(simulator.BLOCK_BYTES // (8 * rows), simulator.CHUNK_LANES // 64))
 
 
 BLOCK_SEG = make_segment(40, 5)
@@ -442,16 +448,17 @@ BLOCK = block_trials(BLOCK_SEG)
 
 def replay_verdicts(seg, p_node, p_link, trials, seed):
     """Per-trial verdicts from the documented draw order, block by block:
-    node rows then link rows, each block a whole number of words."""
+    node rows then link rows, each block a whole number of words, each
+    scored as one whole array."""
     rng = np.random.default_rng(seed)
     block = block_trials(seg)
     auth, link = [], []
     for start in range(0, trials, block):
         size = min(block, trials - start)
         words = -(-size // 64)
-        hits = _draw_hits(rng, p_node, seg.n_nodes - 2, words)
-        clean = ~_draw_hits(rng, p_link, seg.edge_count, words)
-        a, l = _node_verdicts(seg, hits), _link_verdicts(seg, clean)
+        hits = draw_all(rng, p_node, seg.n_nodes - 2, words)
+        clean = ~draw_all(rng, p_link, seg.edge_count, words)
+        a, l = _node_verdicts(seg, [hits]), _link_verdicts(seg, [clean])
         auth.append(unpack(a, size))
         link.append(unpack(l, size))
     return np.concatenate(auth), np.concatenate(link)
@@ -475,6 +482,79 @@ def test_trials_across_block_boundaries(trials):
     )
 
 
+@pytest.mark.parametrize("n,c", [(40, 5), (13, 8)])
+@pytest.mark.parametrize("trials", [1, 200, 898, 2311])
+def test_trials_across_chunk_boundaries(monkeypatch, n, c, trials):
+    """With 768-lane chunks a row is 12 words, a block 768 trials, and a
+    chunk 1, 3, 4 or 12 rows, so node windows and the in-links of a node
+    straddle chunk boundaries; the counts still match a replay that
+    scores each block as one array."""
+    monkeypatch.setattr(simulator, "CHUNK_LANES", 768)
+    seg = make_segment(n, c)
+    assert block_trials(seg) == 768
+    stats = run_trials(seg, 0.6, 0.45, trials, seed=23)
+    auth, link = replay_verdicts(seg, 0.6, 0.45, trials, seed=23)
+    assert stats.successes_joint == int((auth & link).sum())
+    assert stats.progress[-1] == (trials, stats.successes_auth, stats.successes_link)
+    assert stats.progress == tuple(
+        (k, int(auth[:k].sum()), int(link[:k].sum())) for k, _, _ in stats.progress
+    )
+
+
+@given(n=st.integers(3, 12), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_verdicts_do_not_depend_on_chunk_boundaries(n, data):
+    c = data.draw(st.integers(1, n - 1))
+    seg = make_segment(n, c)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    for rows, score in ((n - 2, _node_verdicts), (seg.edge_count, _link_verdicts)):
+        whole = pack(rng.random((rows, 100)) < 0.5)
+        cuts = sorted(data.draw(st.lists(st.integers(1, rows), max_size=rows)))
+        chunks = [whole[a:b] for a, b in zip([0, *cuts], [*cuts, rows]) if a < b]
+        assert np.array_equal(score(seg, chunks), score(seg, [whole]))
+
+
+# sha256 of repr(tuple(stats)) for seeded runs: one block of several
+# chunks, three blocks and a part, p of 0 and 1, a segment of one word per
+# row in one block and in four, and chunks of one row at c = 8.
+PINNED_TRIALS = [
+    ((40, 5), 0.6, 0.45, 1000, 3,
+     "4a1a543d83ead940747b492371c890f273cbfbbb9b8fb2fca4f31f06f4f2abaa"),
+    ((40, 5), 0.6, 0.45, 112_711, 17,
+     "fe33262b1213a3ca749cd6d7016bf7fda838212e145c9e0789f69b021064007d"),
+    ((40, 5), 0.0, 1.0, 5000, 4,
+     "f00694d542ece7bb1dd6627c885eb5cf638ecc64dee3a97980f5e46d42bcb164"),
+    ((40, 5), 1.0, 0.0, 5000, 4,
+     "477250d0f56cdc1990c32910f256b626c3f6782ab9941452944112cc88b1340a"),
+    ((50_000, 2), 0.3, 0.6, 64, 5,
+     "7895a98b244ff03cac2b79364a173835bd5209a39c9ac8e99cbf95ad83f074be"),
+    ((50_000, 2), 0.3, 0.6, 200, 6,
+     "4ef4d332390475ba2a947735ebcb1da60a8928f4abf190569c849f6d3ce17b7d"),
+    ((12, 8), 0.7, 0.5, 600_000, 7,
+     "aec4bca77efcecabc0582416699ce7c7d78a7a900dea0ebdd110ac20a091f3cb"),
+]
+
+
+@pytest.mark.parametrize("segment,p_node,p_link,trials,seed,digest", PINNED_TRIALS)
+def test_run_trials_stream_is_pinned(segment, p_node, p_link, trials, seed, digest):
+    stats = run_trials(make_segment(*segment), p_node, p_link, trials, seed=seed)
+    assert hashlib.sha256(repr(tuple(stats)).encode()).hexdigest() == digest
+
+
+def test_run_trials_memory_is_bounded_in_n():
+    # 900,000 rows of one word, 7 MB, of which a run holds one chunk
+    out = run_fresh(
+        "import resource\n"
+        "from qkdnet import make_segment, run_trials\n"
+        "run_trials(make_segment(8, 2), 0.3, 0.4, 64, seed=1)\n"
+        "seg = make_segment(300_000, 2)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "run_trials(seg, 0.3, 0.4, 64, seed=1)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    assert int(out) < 3 * 1024  # KiB
+
+
 def alloc_peak(seg, trials):
     tracemalloc.start()
     try:
@@ -487,6 +567,9 @@ def alloc_peak(seg, trials):
 def test_run_trials_memory_is_bounded_in_trials():
     # one undivided draw at this size would be about 1.7 GB of float64
     seg = make_segment(200, 10)
+    # numpy.random's lazy import and the byte law's cache fill come first
+    run_trials(seg, 0.5, 0.4, 64, seed=1)
     peak = alloc_peak(seg, 100_000)
+    assert peak < 2**20
     assert peak < 64 * 2**20
     assert peak <= 1.25 * alloc_peak(seg, 10_000)
