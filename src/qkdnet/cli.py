@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation error or unwritable output file,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -34,6 +35,32 @@ def _json_text(payload: dict) -> str:
         for key, value in payload.items()
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+@contextlib.contextmanager
+def _json_stream(write, head: dict, key: str, pairs: bool = False):
+    """Write ``_json_text({**head, key: items})`` with ``write``, taking the
+    items of the last field one at a time, so that only one is in memory.
+
+    Yields ``put``, which writes one item: a list's item, or with ``pairs``
+    an object's ``(name, value)`` pair.  Each is laid out as the whole text
+    would lay it out, ``json.dumps(item, indent=2)`` indented by 4 spaces.
+    The end of the text is written when the block exits without an error.
+    """
+    text = _json_text({**head, key: {} if pairs else []})
+    # text ends with the empty value, "[]" or "{}", and then "\n}\n"
+    write(text[:-5])
+    encode = json.JSONEncoder(indent=2).encode
+    sep, end = text[-5] + "\n    ", text[-5:]
+
+    def put(item) -> None:
+        nonlocal sep, end
+        piece = f"{json.dumps(item[0])}: {encode(item[1])}" if pairs else encode(item)
+        write(sep + piece.replace("\n", "\n    "))
+        sep, end = ",\n    ", "\n  " + text[-4:]
+
+    yield put
+    write(end)
 
 
 def _csv_value(x) -> str:
@@ -128,21 +155,22 @@ def cmd_routes(args) -> int:
         pairs = ((i, j) for i in range(1, seg.n_nodes) for j in seg.out_neighbors(i))
         sys.stdout.writelines(_csv_lines(["from", "to"], pairs))
         return 0
-    payload: dict = {
-        "n": args.n,
-        "c": args.c,
-        "count": _decimal_string(routes.cannacci_count(args.n, args.c)),
-    }
+    count = routes.cannacci_count(args.n, args.c)
+    head = {"n": args.n, "c": args.c, "count": _decimal_string(count)}
+    # Each route or bundle is written as it comes; the cap is checked first,
+    # so that a refusal prints nothing.
     if args.enumerate:
-        rs = routes.enumerate_routes(seg, cap=args.cap)
-        payload["routes"] = [list(r) for r in rs.routes]
+        routes.check_route_cap(count, args.cap)
+        with _json_stream(sys.stdout.write, head, "routes") as put:
+            for route in routes.iter_routes(seg):
+                put(route)
     elif args.scheme:
         scheme = routes.build_routing_scheme(seg, cap=args.cap)
-        payload["scheme"] = {
-            f"{link.src}-{link.dst}": list(bundle)
-            for link, bundle in scheme.per_link_bundles.items()
-        }
-    sys.stdout.write(_json_text(payload))
+        with _json_stream(sys.stdout.write, head, "scheme", pairs=True) as put:
+            for link, bundle in scheme.per_link_bundles.items():
+                put((f"{link.src}-{link.dst}", list(bundle)))
+    else:
+        sys.stdout.write(_json_text(head))
     return 0
 
 
@@ -161,14 +189,18 @@ def _write_progress_csv(path, stats) -> None:
     """Running estimates after each tenth of the trials, from the same draw
     as the reported result."""
     rows = ((done, auth / done, link / done) for done, auth, link in stats.progress)
-    _write_file(path, "".join(_csv_lines(["trials", "estimate_auth", "estimate_link"], rows)))
+    with _output_file(path) as fh:
+        fh.writelines(_csv_lines(["trials", "estimate_auth", "estimate_link"], rows))
 
 
-def _write_file(path, text: str) -> None:
-    """Write an output file; an unwritable path is a ValidationError (exit 2)."""
+@contextlib.contextmanager
+def _output_file(path):
+    """An output file open for writing text.  An unwritable path, or a write
+    that fails, is a ValidationError (exit 2); a write that fails part-way
+    leaves what was written before it."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -189,7 +221,7 @@ def cmd_optimize_c(args) -> int:
 
 def cmd_demo_protocol(args) -> int:
     import hashlib
-    from itertools import accumulate
+    from itertools import accumulate, count
 
     from . import protocol, routes
 
@@ -199,52 +231,58 @@ def cmd_demo_protocol(args) -> int:
     routes.check_route_cap(routes.cannacci_count(args.n, args.c), None)
     protocol.check_session(seg, args.key_len, args.seed)
     scheme = routes.build_routing_scheme(seg)
-    keys, transcript, final_key = protocol.run_session(
-        seg, scheme, args.key_len, args.seed
-    )
-    if args.corrupt:
-        *messages, (link, ciphertext) = transcript.messages
-        transcript = transcript._replace(messages=(*messages, (link, ciphertext ^ 1)))
-
+    bundles, last = scheme.per_link_bundles, seg.n_nodes
     print(f"segment n={args.n} c={args.c}: {scheme.route_count} routes, "
           f"{seg.edge_count} links, key_len={args.key_len}")
     # Every label, each after a space, in one text; label i starts at at[i],
     # so each block of a bundle is one slice of the text.
     labels = [f" K{i}" for i in range(scheme.route_count + 1)]
     text, at = "".join(labels), [0, *accumulate(map(len, labels))]
-    for i, (link, ciphertext) in enumerate(transcript.messages, start=1):
-        bundle = scheme.per_link_bundles[link]
+    del labels
+    numbers = count(1)
+    endpoint = []  # the messages into node N, the only ones kept
+
+    def show(message) -> None:
+        link, ciphertext = message
+        i = next(numbers)
+        if args.corrupt and i == seg.edge_count:  # the last message, into node N
+            ciphertext ^= 1
+        bundle = bundles[link]
         nbits = len(bundle) * args.key_len
         digest = hashlib.blake2b(
             ciphertext.to_bytes(max((nbits + 7) // 8, 1), "big"), digest_size=8
         ).hexdigest()
         ids = "".join(bundle.slices(text, at))[1:]
         print(f"message {i}: link {link.src}->{link.dst}  ({ids}) XOR k_{link.src}{link.dst}  digest={digest}")
+        if link.dst == last:
+            endpoint.append((link, ciphertext))
 
-    endpoint_keys = {link: key for link, key in keys.link_keys.items() if link.dst == seg.n_nodes}
+    keys, _, final_key = protocol.run_session(seg, scheme, args.key_len, args.seed, show)
+    transcript = protocol.SessionTranscript(messages=tuple(endpoint), key_len=args.key_len)
+    endpoint_keys = {link: key for link, key in keys.link_keys.items() if link.dst == last}
     if protocol.reconstruct_at_endpoint(seg, scheme, transcript, endpoint_keys) == final_key:
         print("endpoint reconstruction: PASS")
         if args.json_out:
-            _write_transcript_json(args.json_out, seg, scheme, transcript)
+            _write_transcript_json(args.json_out, seg, scheme, args.key_len, args.seed)
         return 0
     print("endpoint reconstruction: FAIL")
     return InconsistencyError.exit_code
 
 
-def _write_transcript_json(path, seg, scheme, transcript) -> None:
-    payload = {
-        "segment": seg.to_dict(),
-        "key_len": transcript.key_len,
-        "messages": [
-            {
-                "link": f"{link.src}-{link.dst}",
-                "bundle": list(scheme.per_link_bundles[link]),
-                "ciphertext": format(ciphertext, "x"),
-            }
-            for link, ciphertext in transcript.messages
-        ],
-    }
-    _write_file(path, _json_text(payload))
+def _write_transcript_json(path, seg, scheme, key_len: int, seed: int) -> None:
+    """The session's transcript as JSON, written one message at a time as a
+    second session with the same seed, which draws the same keys, sends it."""
+    from . import protocol
+
+    bundles = scheme.per_link_bundles
+    head = {"segment": seg.to_dict(), "key_len": key_len}
+    with _output_file(path) as fh, _json_stream(fh.write, head, "messages") as put:
+        def send(message) -> None:
+            link, ciphertext = message
+            put({"link": f"{link.src}-{link.dst}", "bundle": list(bundles[link]),
+                 "ciphertext": format(ciphertext, "x")})
+
+        protocol.run_session(seg, scheme, key_len, seed, send)
 
 
 def _add_analyze(p: argparse.ArgumentParser) -> None:

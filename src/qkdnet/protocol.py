@@ -23,7 +23,9 @@ splits a plaintext into keys: it needs only their XOR, which
 
 A session's messages carry sum(len(bundle)) * key_len bits, which grows
 with the route count; ``check_session`` refuses more than
-``MAX_SESSION_BITS`` of them before anything is allocated.
+``MAX_SESSION_BITS`` of them before anything is allocated.  A caller that
+passes ``run_session`` a consumer gets each message as it is made, and
+need not hold them all.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import random
 from itertools import chain, compress, repeat
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import CapExceededError, ValidationError
 from .routes import Bundle, RoutingScheme, bundle_id_total
@@ -42,11 +44,15 @@ MAX_KEY_LEN = 1 << 16
 # Most key material one session's messages may carry, in bits (128 MiB):
 # the total bundle size times key_len.  The largest benchmark session,
 # N = 20, c = 2 at 128 bits, carries 12.0 Mbit.  The cap bounds message
-# bits, not memory: with 128-bit keys, building the scheme and running the
-# session peaked (tracemalloc) at 3.1 MB at (20, 2), 8.4 MB at (22, 2) and
-# 23.2 MB at (24, 2), about 2 bytes per message byte, half of it the
-# ciphertexts, so a session just under the cap would peak near 0.25 GB
-# (extrapolated).
+# bits, not memory.  A session whose messages go to a consumer holds one
+# message at a time, plus about 220 bytes per route at 128-bit keys (the
+# route keys, their bytes and offsets, and the scheme): building the scheme
+# and running it peaked (tracemalloc) at 1.5 MB at (20, 2), 3.8 MB at
+# (22, 2) and 10.0 MB at (24, 2).  Kept in the transcript, the messages add
+# about as much again (2.9, 8.0 and 22.1 MB).  Of the sessions that both
+# this cap and the route cap accept at 128 bits, the one with the most
+# routes, (22, 4) with 547,337, peaked at 171 MB of RSS as
+# ``demo-protocol`` runs it.
 MAX_SESSION_BITS = 1 << 30
 
 
@@ -158,13 +164,21 @@ def _check_scheme(seg: NetworkSegment, scheme: RoutingScheme) -> None:
 
 
 def run_session(
-    seg: NetworkSegment, scheme: RoutingScheme, key_len: int, seed: int
+    seg: NetworkSegment,
+    scheme: RoutingScheme,
+    key_len: int,
+    seed: int,
+    send: Callable[[tuple[Link, int]], object] | None = None,
 ) -> tuple[SessionKeys, SessionTranscript, int]:
     """Execute one key-transport session; returns keys, transcript, and the
     final key (XOR of all route keys).
 
     Refuses what ``_check_scheme`` and ``check_session`` refuse.  Links
-    draw their keys and send their messages in scheme order.  When
+    draw their keys and send their messages in scheme order.  Each message
+    ``(link, ciphertext)`` goes to ``send`` as soon as it is made, and the
+    transcript then holds no messages, so a caller that keeps only some of
+    them holds only those; with no ``send`` every message is kept in the
+    transcript.  Calls with the same seed draw the same keys.  When
     ``key_len % 8 == 0`` each route key is converted to bytes once and
     every bundle is packed by joining one slice of them per block;
     otherwise by ``_concat_keys``.  Both give the same plaintext integers.
@@ -192,10 +206,11 @@ def run_session(
         def pack(bundle):
             return _join_key_bytes(key_buffer, at, bundle)
 
-    messages = [
-        (link, pack(bundle) ^ _keystream(link_keys[link], key_len, len(bundle) * key_len))
-        for link, bundle in bundles.items()
-    ]
+    messages: list[tuple[Link, int]] = []
+    if send is None:
+        send = messages.append
+    for link, bundle in bundles.items():
+        send((link, pack(bundle) ^ _keystream(link_keys[link], key_len, len(bundle) * key_len)))
 
     final_key = 0
     for key in route_keys:
@@ -215,16 +230,18 @@ def reconstruct_at_endpoint(
 
     The in-link bundles of node N partition the route indices, so the
     endpoint's own link keys suffice, and the route ids are covered when
-    every in-link of N has sent a message.  Besides what ``_check_scheme``
-    refuses, a ``key_len`` outside [1, MAX_KEY_LEN], an in-link with no
-    message or link key, a link key that is not an int in [0, 2^key_len),
-    or a ciphertext of the wrong bit length is a ValidationError.  A link's
-    last message counts.  Each plaintext is reduced to the XOR of its keys
-    by ``_xor_keys``, whatever the key length.
+    every in-link of N has sent a message; messages on other links are
+    not read.  Besides what ``_check_scheme`` refuses, a ``key_len`` that
+    is not an int in [1, MAX_KEY_LEN], an in-link with no message or link
+    key, a link key that is not an int in [0, 2^key_len), or a ciphertext
+    that is not an int of at most its bundle's bit length is a
+    ValidationError.  A link's last message counts.  Each plaintext is
+    reduced to the XOR of its keys by ``_xor_keys``, whatever the key
+    length.
     """
     _check_scheme(seg, scheme)
     key_len = transcript.key_len
-    if not 1 <= key_len <= MAX_KEY_LEN:
+    if not isinstance(key_len, int) or not 1 <= key_len <= MAX_KEY_LEN:
         raise ValidationError(f"key_len must be in [1, {MAX_KEY_LEN}], got {key_len}")
     ciphertexts = dict(transcript.messages)  # a link's last message counts
     final_key = 0
@@ -239,8 +256,8 @@ def reconstruct_at_endpoint(
         if not isinstance(link_key, int) or link_key < 0 or link_key >> key_len:
             raise ValidationError(f"link key for {link} must be an int in [0, 2^{key_len})")
         ciphertext, nbits = ciphertexts[link], len(bundle) * key_len
-        if ciphertext < 0 or ciphertext >> nbits:
-            raise ValidationError(f"ciphertext on {link} has wrong bit length")
+        if not isinstance(ciphertext, int) or ciphertext < 0 or ciphertext >> nbits:
+            raise ValidationError(f"ciphertext on {link} is not an int or has wrong bit length")
         plaintext = ciphertext ^ _keystream(link_key, key_len, nbits)
         final_key ^= _xor_keys(plaintext, len(bundle), key_len)
     return final_key

@@ -2,7 +2,9 @@
 
 First-to-last routes in an (N, c) segment are exactly the compositions of
 N-1 into parts of size 1..c, so their number is the N-th c-annacci number
-(the order-c generalization of the Fibonacci sequence).
+(the order-c generalization of the Fibonacci sequence).  ``iter_routes``
+yields them one at a time, so a caller that writes each route as it
+comes holds one route at once; ``enumerate_routes`` keeps them all.
 
 The routing scheme gives each link a ``Bundle``: the ascending ids of the
 routes through it, stored as runs of consecutive ids that all have the
@@ -171,18 +173,14 @@ def check_route_cap(count: int, cap: int | None) -> None:
         raise CapExceededError(f"route count {size} exceeds materialization cap {cap}")
 
 
-def enumerate_routes(seg: NetworkSegment, cap: int | None = None) -> RouteSet:
-    """Materialize every route in lexicographic order by node sequence.
+def iter_routes(seg: NetworkSegment) -> Iterator[Route]:
+    """Every route of ``seg``, one at a time, in lexicographic order by node
+    sequence; there are ``cannacci_count`` of them, and no cap is checked.
 
-    Refuses with CapExceededError when the exact count exceeds ``cap``;
-    see ``check_route_cap``.
+    Depth-first with an explicit stack, so route length is not bounded by
+    the recursion limit; stack[k] iterates the successors of prefix[k].
     """
-    count = cannacci_count(seg.n_nodes, seg.density)
-    check_route_cap(count, cap)
-    # Depth-first with an explicit stack, so route length is not bounded
-    # by the recursion limit; stack[k] iterates the successors of prefix[k].
     last, c = seg.n_nodes, seg.density
-    routes: list[Route] = []
     prefix = [1]
     stack = [iter(range(2, min(1 + c, last) + 1))]
     while stack:
@@ -191,12 +189,21 @@ def enumerate_routes(seg: NetworkSegment, cap: int | None = None) -> RouteSet:
             stack.pop()
             prefix.pop()
         elif nxt == last:
-            routes.append((*prefix, nxt))
+            yield (*prefix, nxt)
         else:
             prefix.append(nxt)
             stack.append(iter(range(nxt + 1, min(nxt + c, last) + 1)))
-    assert len(routes) == count
-    return RouteSet(segment=seg, routes=tuple(routes), count=count)
+
+
+def enumerate_routes(seg: NetworkSegment, cap: int | None = None) -> RouteSet:
+    """Materialize every route of ``iter_routes`` in a ``RouteSet``.
+
+    Refuses with CapExceededError when the exact count exceeds ``cap``;
+    see ``check_route_cap``.
+    """
+    count = cannacci_count(seg.n_nodes, seg.density)
+    check_route_cap(count, cap)
+    return RouteSet(segment=seg, routes=tuple(iter_routes(seg)), count=count)
 
 
 def build_routing_scheme(seg: NetworkSegment, cap: int | None = None) -> RoutingScheme:

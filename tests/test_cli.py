@@ -31,18 +31,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_fresh(*argv, **kwargs):
-    """Run ``python -m qkdnet.cli *argv`` in a fresh interpreter that imports
-    this checkout's qkdnet; a command that hangs fails after 60 s."""
+def run_fresh(*args, **kwargs):
+    """Run ``python *args`` in a fresh interpreter that imports this
+    checkout's qkdnet, capturing its output unless ``kwargs`` say
+    otherwise; a command that hangs fails after 60 s."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(qkdnet.__file__).resolve().parents[1])]
         + [p for p in [env.get("PYTHONPATH")] if p]
     )
-    return subprocess.run(
-        [sys.executable, "-m", "qkdnet.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60, **kwargs,
-    )
+    options = {"env": env, "capture_output": True, "text": True, "timeout": 60, **kwargs}
+    return subprocess.run([sys.executable, *args], **options)
+
+
+def run_cli_fresh(*argv, **kwargs):
+    """``python -m qkdnet.cli *argv`` run by ``run_fresh``."""
+    return run_fresh("-m", "qkdnet.cli", *argv, **kwargs)
 
 
 def load_schema(name):
@@ -227,6 +231,19 @@ def test_routes_edges_streams_its_rows(tmp_path):
     assert path.read_text(encoding="utf-8").splitlines() == ["from,to", *rows]
 
 
+def test_routes_enumerate_streams_its_routes():
+    # 196,418 routes: building the whole payload and one JSON string
+    # peaked at 425 MB of RSS and ran out of this address space; written
+    # one route at a time, the command peaks near 16 MB.
+    limit = 256 * 2**20
+    proc = run_cli_fresh(
+        "routes", "--n", "27", "--c", "2", "--enumerate",
+        capture_output=False, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_simulate_deterministic(capsys):
     args = ["simulate", "--n", "10", "--c", "2", "--p-node", "0.3",
             "--p-link", "0.1", "--trials", "2000", "--seed", "7"]
@@ -338,10 +355,11 @@ def test_simulate_unwritable_progress_csv_exits_2(capsys, tmp_path):
 
 def test_demo_protocol_unwritable_json_out_exits_2(capsys, tmp_path):
     target = tmp_path / "missing" / "transcript.json"
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "demo-protocol", "--n", "6", "--c", "2", "--json-out", str(target),
     )
     assert code == 2
+    assert out.endswith("endpoint reconstruction: PASS\n")
     assert err.startswith("error: cannot write")
 
 
@@ -577,6 +595,38 @@ def test_routes_scheme_and_transcript_pinned_bytes(capsys, tmp_path):
     assert code == 0
     assert sha256(masked(out)) == PINNED_DEMO_JSON_MASKED_STDOUT
     assert hashlib.sha256(target.read_bytes()).hexdigest() == PINNED_DEMO_JSON_OUT
+
+
+def test_demo_protocol_keeps_only_the_messages_into_node_n():
+    # At (24, 2) a fresh process peaked at 46.8 MB of RSS holding every
+    # ciphertext until the last line was printed, and at 31.8 MB printing
+    # each message as it is sent; importing qkdnet takes about 18 MB.
+    # A forked child's ru_maxrss starts at its parent's RSS, so the command
+    # runs as the child of a small interpreter, not of the test process.
+    code = (
+        "import resource, subprocess, sys\n"
+        "argv = ['-m', 'qkdnet.cli', 'demo-protocol', '--n', '24', '--c', '2']\n"
+        "proc = subprocess.run([sys.executable, *argv], stdout=subprocess.DEVNULL)\n"
+        "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    proc = run_fresh("-c", code)
+    rc, maxrss_kib = map(int, proc.stdout.split())
+    assert rc == 0, proc.stderr
+    assert maxrss_kib < 38 * 1024
+
+
+def test_demo_protocol_memory_at_the_largest_benchmark_segment():
+    # The command at (20, 2) peaked (tracemalloc) at 3.2 MB when it kept
+    # every message, and at 2.0 MB keeping only those into node N.
+    with open(os.devnull, "w") as fh, contextlib.redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            code = main(["demo-protocol", "--n", "20", "--c", "2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.5 * 2**20
 
 
 def test_demo_protocol_route_cap_exits_3(capsys, monkeypatch):
@@ -861,3 +911,42 @@ def test_simulate_pinned_bytes_agree_with_exact_values(capsys, tmp_path):
             sigma = math.sqrt(trials * exact * (1 - exact))
             assert abs(successes - trials * exact) <= 5 * sigma, line
     assert digest == PINNED_SIMULATE_BYTES
+
+
+# Every (N, c) with 3 <= N <= 14, and a few segments run with --corrupt
+# (which exits 4 and writes no file).  The sha256 below covers, in this
+# order, the stdout of routes --enumerate and --scheme at each segment,
+# then the stdout and --json-out file of demo-protocol at --key-len 128
+# and 13, then each --corrupt stdout.  It was recorded before these
+# outputs were streamed.
+PARITY_SEGMENTS = [(n, c) for n in range(3, 15) for c in range(1, n)]
+PARITY_CORRUPT = [(3, 1), (5, 2), (9, 3), (12, 4), (14, 13)]
+PINNED_PARITY_GRID = "da4f2865cef120dff3ef830bbced07be260fef1cb7f827b72a111fa903818a92"
+
+
+def test_routes_and_demo_protocol_bytes_on_the_parity_grid(capsys, tmp_path):
+    digest = hashlib.sha256()
+    target = tmp_path / "transcript.json"
+    schema = load_schema("routes.schema.json")
+    for n, c in PARITY_SEGMENTS:
+        seg = ["--n", str(n), "--c", str(c)]
+        for mode in ("--enumerate", "--scheme"):
+            code, out, err = run_cli(capsys, "routes", *seg, mode)
+            assert code == 0, err
+            if n <= 8:
+                jsonschema.validate(json.loads(out), schema)
+            digest.update(out.encode())
+        for key_len in ("128", "13"):
+            code, out, err = run_cli(capsys, "demo-protocol", *seg, "--key-len", key_len,
+                                     "--seed", str(n * c), "--json-out", str(target))
+            assert code == 0, err
+            digest.update(out.encode())
+            digest.update(target.read_bytes())
+            target.unlink()
+    for n, c in PARITY_CORRUPT:
+        code, out, _ = run_cli(capsys, "demo-protocol", "--n", str(n), "--c", str(c),
+                               "--key-len", "13", "--corrupt", "--json-out", str(target))
+        assert code == 4
+        assert not target.exists()
+        digest.update(out.encode())
+    assert digest.hexdigest() == PINNED_PARITY_GRID

@@ -57,6 +57,9 @@ NOT_ROUTES = ("numpy", "qkdnet.chains", "qkdnet.routes", "qkdnet.protocol", "has
         (["optimize-c", "--n", "20"], NOT_ROUTES),
         (["routes", "--n", "6", "--c", "2", "--scheme"], ("numpy", "qkdnet.protocol", "hashlib")),
         (["demo-protocol", "--n", "6", "--c", "2"], ("numpy",)),
+        (["demo-protocol", "--n", "6", "--c", "2", "--json-out", os.devnull], ("numpy",)),
+        (["routes", "--n", "6", "--c", "2", "--enumerate"],
+         ("numpy", "qkdnet.protocol", "hashlib")),
         (["routes", "--n", "6", "--c", "2", "--count-only"],
          ("numpy", "qkdnet.protocol", "hashlib")),
         # numpy.ma (loaded by np.unique, for one) costs about 1.3 MB of RSS

@@ -373,6 +373,26 @@ def test_reconstruct_rejects_link_key_outside_key_len_bits(key_len, bad_key):
         reconstruct_at_endpoint(seg, scheme, transcript, link_keys)
 
 
+@pytest.mark.parametrize("kind", [float, str])
+def test_reconstruct_rejects_a_ciphertext_that_is_not_an_int(kind):
+    seg, scheme, keys, transcript, final_key = session(5, 2, key_len=16, seed=1)
+    messages = tuple((link, kind(c) if link.dst == seg.n_nodes else c)
+                     for link, c in transcript.messages)
+    with pytest.raises(ValidationError, match="is not an int or has wrong bit length"):
+        reconstruct_at_endpoint(
+            seg, scheme, transcript._replace(messages=messages), endpoint_keys(seg, keys)
+        )
+
+
+@pytest.mark.parametrize("key_len", [8.0, "8", None])
+def test_reconstruct_rejects_a_key_len_that_is_not_an_int(key_len):
+    seg, scheme, keys, transcript, final_key = session(5, 2, key_len=8, seed=1)
+    with pytest.raises(ValidationError, match="key_len must be in"):
+        reconstruct_at_endpoint(
+            seg, scheme, transcript._replace(key_len=key_len), endpoint_keys(seg, keys)
+        )
+
+
 @pytest.mark.parametrize("key_len", [1, 8])
 def test_reconstruct_rejects_uncovered_route_ids(key_len):
     seg, scheme, keys, transcript, final_key = session(6, 2, key_len=key_len)
@@ -438,6 +458,25 @@ def test_session_memory_at_the_largest_benchmark_segment():
         run_session(seg, build_routing_scheme(seg), 128, 0)
 
     assert traced_peak(run) < 4 * 2**20
+
+
+@pytest.mark.parametrize("n,c,key_len", [(6, 2, 128), (9, 3, 13), (3, 1, 8)])
+def test_session_sends_each_message_as_the_transcript_holds_it(n, c, key_len):
+    seg, scheme, keys, transcript, final_key = session(n, c, key_len=key_len)
+    sent = []
+    streamed = run_session(seg, scheme, key_len, 11, sent.append)
+    assert tuple(sent) == transcript.messages
+    assert streamed == (keys, transcript._replace(messages=()), final_key)
+
+
+def test_session_memory_when_each_message_is_sent_on():
+    # At (20, 2) the 1.5 MB of ciphertexts are most of what a session holds
+    # besides the scheme: 2.9 MB kept in the transcript, 1.5 MB sent on.
+    def run():
+        seg = make_segment(20, 2)
+        run_session(seg, build_routing_scheme(seg), 128, 0, lambda message: None)
+
+    assert traced_peak(run) < 2 * 2**20
 
 
 def test_material_check_keeps_only_the_last_counts():
