@@ -3,7 +3,8 @@
 Subcommands: analyze, sweep, routes, simulate, optimize-c, demo-protocol.
 All outputs are machine-readable (JSON or CSV); probabilities are printed
 with 12 significant digits, route counts as decimal strings.  ``main``
-parses its argv once, building only the parser of the subcommand it names.
+builds one parser per call: the named subcommand's own parser, or, for
+any other argv or one with words left over, the full parser.
 
 Exit codes: 0 success, 2 validation error or unwritable output file,
 3 resource-cap error, 4 internal inconsistency.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 # routes, protocol and hashlib are imported by the commands that use them,
@@ -37,6 +39,15 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _json_ints(ids) -> str:
+    """``json.dumps(list(ids), indent=2)`` for a sequence of ints, each line
+    after the first indented by 4 more spaces, as ``_json_stream`` lays out
+    an item, without the pure-Python encoder."""
+    if not ids:
+        return "[]"
+    return "[\n      " + ",\n      ".join(map(str, ids)) + "\n    ]"
+
+
 @contextlib.contextmanager
 def _json_stream(write, head: dict, key: str, pairs: bool = False):
     """Write ``_json_text({**head, key: items})`` with ``write``, taking the
@@ -45,6 +56,8 @@ def _json_stream(write, head: dict, key: str, pairs: bool = False):
     Yields ``put``, which writes one item: a list's item, or with ``pairs``
     an object's ``(name, value)`` pair.  Each is laid out as the whole text
     would lay it out, ``json.dumps(item, indent=2)`` indented by 4 spaces.
+    An item or value that is a dict goes through ``json``'s encoder; any
+    other is a sequence of ints (a route or a bundle), laid out directly.
     The end of the text is written when the block exits without an error.
     """
     text = _json_text({**head, key: {} if pairs else []})
@@ -53,10 +66,14 @@ def _json_stream(write, head: dict, key: str, pairs: bool = False):
     encode = json.JSONEncoder(indent=2).encode
     sep, end = text[-5] + "\n    ", text[-5:]
 
+    def lay_out(value) -> str:
+        if isinstance(value, dict):
+            return encode(value).replace("\n", "\n    ")
+        return _json_ints(value)
+
     def put(item) -> None:
         nonlocal sep, end
-        piece = f"{json.dumps(item[0])}: {encode(item[1])}" if pairs else encode(item)
-        write(sep + piece.replace("\n", "\n    "))
+        write(sep + (f"{json.dumps(item[0])}: {lay_out(item[1])}" if pairs else lay_out(item)))
         sep, end = ",\n    ", "\n  " + text[-4:]
 
     yield put
@@ -99,15 +116,36 @@ def _sweep_grid(args) -> list[float]:
         raise ValidationError(f"points must be >= 2, got {args.points}")
     if args.points > MAX_SWEEP_POINTS:
         raise ValidationError(f"points must be <= {MAX_SWEEP_POINTS}, got {args.points}")
-    import numpy as np
+    if args.spacing == "linear":
+        return _linspace(args.start, args.stop, args.points)
+    if args.start <= 0:
+        raise ValidationError("log spacing requires start > 0")
+    # numpy.geomspace's rule: a linear grid of exponents, with both ends set
+    exponents = _linspace(math.log10(args.start), math.log10(args.stop), args.points)
+    return [args.start, *map(_exp10, exponents[1:-1]), args.stop]
 
-    if args.spacing == "log":
-        if args.start <= 0:
-            raise ValidationError("log spacing requires start > 0")
-        grid = np.geomspace(args.start, args.stop, args.points)
+
+def _exp10(y: float) -> float:
+    """``10.0 ** y``, or inf where that overflows, as numpy's power gives."""
+    try:
+        return 10.0**y
+    except OverflowError:
+        return math.inf
+
+
+def _linspace(start: float, stop: float, points: int) -> list[float]:
+    """``numpy.linspace(start, stop, points)`` as floats, by numpy's rule:
+    ``i * step + start``, or ``i / div * delta + start`` where the step
+    underflows to 0, with the last point set to ``stop``."""
+    div = points - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        grid = [i / div * delta + start for i in range(points)]
     else:
-        grid = np.linspace(args.start, args.stop, args.points)
-    return [float(v) for v in grid]
+        grid = [i * step + start for i in range(points)]
+    grid[-1] = stop
+    return grid
 
 
 def cmd_sweep(args) -> int:
@@ -151,6 +189,9 @@ def cmd_routes(args) -> int:
     from . import routes
 
     seg = make_segment(args.n, args.c)
+    if args.cap is not None:
+        # a given cap is validated in every mode; no count of 0 exceeds it
+        routes.check_route_cap(0, args.cap)
     if args.edges:
         pairs = ((i, j) for i in range(1, seg.n_nodes) for j in seg.out_neighbors(i))
         sys.stdout.writelines(_csv_lines(["from", "to"], pairs))
@@ -359,41 +400,49 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qkdnet`` argument parser.
+def _add_subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, add_arguments, func = SUBCOMMANDS[name]
+    add_arguments(parser)
+    parser.set_defaults(func=func, command=name)
+    return parser
 
-    With no ``command``, every subcommand is added.  With a name from
-    SUBCOMMANDS, only that subcommand is, under the full parser's usage
-    line, so an argv that starts with that name gets the same help, error
-    messages and exit codes from either parser.
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qkdnet`` argument parser, or one subcommand's.
+
+    With no ``command``, the full parser, with every subcommand as a
+    subparser.  With a name from SUBCOMMANDS, that subcommand's own parser,
+    ``qkdnet <name>``, built as the full parser builds its subparser: it
+    takes the words after the name and gives the same namespace, help and
+    errors, ``command`` included.
     """
+    if command is not None:
+        return _add_subcommand(argparse.ArgumentParser(prog=f"qkdnet {command}"), command)
     parser = argparse.ArgumentParser(
         prog="qkdnet",
         description="Security analysis of banded trusted-node QKD network segments.",
     )
-    # The full parser keeps no metavar: argparse would name the action by
-    # it, in place of "command", in its invalid-choice and missing-command
-    # errors.
-    metavar = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in SUBCOMMANDS if command is None else (command,):
-        help_text, add_arguments, func = SUBCOMMANDS[name]
-        subparser = sub.add_parser(name, help=help_text)
-        add_arguments(subparser)
-        subparser.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in SUBCOMMANDS.items():
+        _add_subcommand(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one ``qkdnet`` command; returns its exit code.
 
-    ``argv`` defaults to ``sys.argv[1:]``, and it is parsed once.  When its
-    first word names a subcommand, only that subcommand's parser is built;
-    anything else (no arguments, an option or ``--`` first, an unknown
-    name) goes to the full parser.
+    ``argv`` defaults to ``sys.argv[1:]``.  When its first word names a
+    subcommand, that subcommand's own parser parses the words after it, and
+    no other parser is built.  Anything else (no arguments, an option or
+    ``--`` first, an unknown name), or words that parser leaves over, goes
+    to the full parser, which prints its own usage and error.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
+    args = rest = None
+    if argv and argv[0] in SUBCOMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except QkdNetError as exc:

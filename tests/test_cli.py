@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import resource
 import shlex
@@ -19,6 +20,7 @@ import pytest
 from test_routes import DEMO_SEGMENTS
 
 import qkdnet
+from qkdnet import cli
 from qkdnet.cli import SUBCOMMANDS, build_parser, main
 
 # The largest sweep --points, as documented in --help and the README.
@@ -136,6 +138,37 @@ def test_sweep_invalid_spec(capsys):
     assert code == 2
 
 
+def grid(start, stop, points, spacing):
+    args = argparse.Namespace(start=start, stop=stop, points=points, spacing=spacing)
+    return cli._sweep_grid(args)
+
+
+def test_sweep_grid_matches_numpy():
+    import numpy as np
+
+    rng = random.Random(36)
+    ranges = [
+        # subnormal spans, where the linear step underflows to 0
+        (0.0, 5e-324, 3), (0.0, 5e-324, 100_000), (5e-324, 1.5e-323, 7),
+        (-5e-324, 5e-324, 5), (1e-320, 2e-320, 100_000),
+        # equal exponents: log10 of both ends rounds to 300
+        (1e300, math.nextafter(1e300, math.inf), 5),
+        (1e-6, 0.9, 2), (1e-6, 0.9, 100_000), (-3.5, 1e200, 41),
+    ]
+    for _ in range(300):
+        start = 10.0 ** rng.uniform(-320, 300)
+        ranges.append((start, start * 10.0 ** rng.uniform(0, 8), rng.choice([2, 3, 5, 41, 1000])))
+    for start, stop, points in ranges:
+        assert grid(start, stop, points, "linear") == np.linspace(start, stop, points).tolist()
+        if start > 0:
+            got, ref = grid(start, stop, points, "log"), np.geomspace(start, stop, points).tolist()
+            assert (got[0], got[-1]) == (ref[0], ref[-1]) == (start, stop)
+            # Interior points may differ in the last bits, where math's and
+            # numpy's log10 and power round apart; 2^-40 covers a 1-ulp
+            # difference in an exponent of up to 324.
+            assert all(math.isclose(x, y, rel_tol=2**-40) for x, y in zip(got, ref))
+
+
 def test_routes_count_only(capsys):
     code, out, _ = run_cli(capsys, "routes", "--n", "6", "--c", "2")
     assert code == 0
@@ -244,6 +277,30 @@ def test_routes_enumerate_streams_its_routes():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+@pytest.mark.parametrize("ids", [(), [], (7,), (1, 2, 3), list(range(1, 1001))])
+def test_json_ints_lays_out_as_the_encoder(ids):
+    assert cli._json_ints(ids) == json.dumps(list(ids), indent=2).replace("\n", "\n    ")
+
+
+def streamed(key, items, pairs=False):
+    out = []
+    with cli._json_stream(out.append, {"n": 6}, key, pairs=pairs) as put:
+        for item in items:
+            put(item)
+    return "".join(out)
+
+
+def test_json_stream_lays_out_as_the_whole_text():
+    # int lists, empty or not, in a list and as an object's values, and a
+    # dict item, which goes through the encoder
+    lists = [[], (4, 5), [6]]
+    assert streamed("routes", lists) == cli._json_text({"n": 6, "routes": lists})
+    pairs = [("1-2", []), ("2-3", (4, 5))]
+    assert streamed("scheme", pairs, pairs=True) == cli._json_text({"n": 6, "scheme": dict(pairs)})
+    messages = [{"link": "1-2", "bundle": [1, 2]}, []]
+    assert streamed("messages", messages) == cli._json_text({"n": 6, "messages": messages})
+
+
 def test_simulate_deterministic(capsys):
     args = ["simulate", "--n", "10", "--c", "2", "--p-node", "0.3",
             "--p-link", "0.1", "--trials", "2000", "--seed", "7"]
@@ -325,13 +382,18 @@ def test_routes_bad_route_cap_env_is_validation_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("cap", ["-5", "0"])
 def test_routes_cap_below_one_is_validation_error(capsys, monkeypatch, cap):
-    code, _, err = run_cli(capsys, "routes", "--n", "6", "--c", "2", "--enumerate", "--cap", cap)
-    assert code == 2
-    assert "route cap must be >= 1" in err
+    # an explicit cap is checked in every mode, even where no cap applies
+    for mode in (["--enumerate"], ["--scheme"], ["--count-only"], ["--edges"], []):
+        code, out, err = run_cli(capsys, "routes", "--n", "6", "--c", "2", *mode, "--cap", cap)
+        assert (code, out, err) == (2, "", f"error: route cap must be >= 1, got {cap}\n"), mode
+    # the environment's cap is read only where a cap applies
     monkeypatch.setenv("QKDNET_ROUTE_CAP", cap)
-    code, _, err = run_cli(capsys, "routes", "--n", "6", "--c", "2", "--enumerate")
-    assert code == 2
-    assert "route cap must be >= 1" in err
+    for mode in (["--count-only"], ["--edges"], []):
+        assert run_cli(capsys, "routes", "--n", "6", "--c", "2", *mode)[0] == 0, mode
+    for mode in ("--enumerate", "--scheme"):
+        code, _, err = run_cli(capsys, "routes", "--n", "6", "--c", "2", mode)
+        assert code == 2
+        assert "route cap must be >= 1" in err
 
 
 def test_routes_cap_at_and_below_route_count(capsys):
@@ -763,6 +825,15 @@ PARSER_CASES = [
     ["routes", "--n", "6", "--c", "2", "--scheme", "--edges"],
     ["optimize-c", "--n", "20", "--nn", "3"],
     ["analyze", "--", *ANALYZE[1:]],
+    # the subcommand's own parser must leave the same words over, and
+    # read "--", "=" and repeats, as the full parser's subparser
+    [*ANALYZE, "--bogus"],
+    ["optimize-c", "--n=20"],
+    ["optimize-c", "--n", "20", "--n", "30"],
+    ["optimize-c", "--n", "20", "--"],
+    ["optimize-c", "--", "--n", "20"],
+    ["optimize-c", "--n", "20", "-h"],
+    ["optimize-c", "--n", "20", "--", "x"],
 ]
 
 
@@ -786,9 +857,18 @@ def test_main_matches_full_parser(capsys, argv):
     assert outcome(main, list(argv), capsys) == expected
 
 
+def full_subparser(name):
+    """The full parser's subparser for ``name``."""
+    (action,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
 @pytest.mark.parametrize("name", SUBCOMMANDS)
 def test_one_subcommand_parser_has_the_full_usage_line(name):
-    assert build_parser(name).format_usage() == build_parser().format_usage()
+    # the full parser's usage and help for that subcommand
+    own, full = build_parser(name), full_subparser(name)
+    assert own.format_usage() == full.format_usage()
+    assert own.format_help() == full.format_help()
 
 
 def test_main_builds_only_the_invoked_subcommand(capsys, monkeypatch):
@@ -802,18 +882,36 @@ def test_main_builds_only_the_invoked_subcommand(capsys, monkeypatch):
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting_add_argument)
     assert main(["optimize-c", "--n", "20"]) == 0
     help_option = ("-h", "--help")
-    assert calls == [help_option, help_option, ("--n",)]
+    assert calls == [help_option, ("--n",)]
 
     own = {}
     for name in SUBCOMMANDS:
         calls.clear()
         build_parser(name)
-        assert calls[:2] == [help_option, help_option]
-        own[name] = calls[1:]
+        assert calls[0] == help_option
+        own[name] = list(calls)
         assert len(own[name]) > 1, name
     calls.clear()
     build_parser()
     assert calls == [help_option] + [args for name in SUBCOMMANDS for args in own[name]]
+
+
+def test_main_constructs_one_parser_unless_words_are_left_over(capsys, monkeypatch):
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    assert main(["optimize-c", "--n", "20"]) == 0
+    assert progs == ["qkdnet optimize-c"]
+    progs.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize-c", "--n", "20", "extra"])
+    assert exc.value.code == 2
+    assert progs == ["qkdnet optimize-c", "qkdnet", *(f"qkdnet {name}" for name in SUBCOMMANDS)]
 
 
 # Analysis commands at benchmark sizes, one per line; the sha256 of their

@@ -1,7 +1,8 @@
 """The import graph: a command loads only what it runs.  numpy is loaded
-by sweep, exact analysis and simulate, the chain driver by sweep and exact
-analysis, routes by routes and demo-protocol, protocol and hashlib by
-demo-protocol, and fractions and dataclasses by no command."""
+by exact eps2 (exact analysis, sweep --param eps_qkd) and simulate, the
+chain driver by sweep and exact analysis, routes by routes and
+demo-protocol, protocol and hashlib by demo-protocol, and fractions and
+dataclasses by no command."""
 
 import os
 import subprocess
@@ -66,6 +67,9 @@ NOT_ROUTES = ("numpy", "qkdnet.chains", "qkdnet.routes", "qkdnet.protocol", "has
         (["simulate", "--n", "30", "--c", "3", "--p-node", "0.4", "--p-link", "0.3",
           "--trials", "2000", "--seed", "1"],
          ("numpy.ma", "qkdnet.routes", "qkdnet.protocol", "qkdnet.chains")),
+        (["sweep", "--param", "p", "--spacing", "log", "--start", "1e-4", "--stop", "0.5",
+          "--points", "5", "--n", "40", "--c", "4"],
+         ("numpy", "qkdnet.routes", "qkdnet.protocol", "hashlib")),
     ],
 )
 def test_pure_python_commands_do_not_load_numpy(argv):
